@@ -99,12 +99,15 @@ def lag_average(cov: CovarianceEstimate, diffs: DifferenceSet) -> CoarraySignal:
     if missing:
         raise CoarrayHoleError(missing)
     p = diffs.window_size
-    r_vec = cov.matrix.flatten(order="F")  # column-stacking
-    values = np.empty(2 * p - 1, dtype=complex)
-    for lag in range(-(p - 1), p):
-        idx = diffs.index_sets[lag]
-        values[lag + p - 1] = r_vec[list(idx)].mean()
-    return CoarraySignal(window_size=p, values=values)
+    bins = diffs.position_lags + (p - 1)
+    r_vec = cov.matrix.ravel(order="F")  # column-stacking
+    inside = (bins >= 0) & (bins < 2 * p - 1)
+    if not inside.all():
+        bins, r_vec = bins[inside], r_vec[inside]
+    counts = np.bincount(bins, minlength=2 * p - 1)
+    re = np.bincount(bins, weights=r_vec.real, minlength=2 * p - 1)
+    im = np.bincount(bins, weights=r_vec.imag, minlength=2 * p - 1)
+    return CoarraySignal(window_size=p, values=(re + 1j * im) / counts)
 
 
 def build_toeplitz(z: CoarraySignal) -> np.ndarray:
@@ -144,7 +147,8 @@ def filter_autocorrelation(h, length: int | None = None) -> np.ndarray:
             )
     else:
         hh = np.asarray(h)
-    return np.correlate(hh, np.conj(hh), mode="full")
+    # same as np.correlate(hh, np.conj(hh), mode="full"), via FFT
+    return signal.fftconvolve(hh, hh[::-1])
 
 
 def clutter_filter(z: CoarraySignal, h, ir_length: int | None = None) -> CoarraySignal:
@@ -152,13 +156,13 @@ def clutter_filter(z: CoarraySignal, h, ir_length: int | None = None) -> Coarray
 
     Equivalent to filtering the (unobservable) uniform slow-time signal
     with ``h`` and re-estimating its autocorrelation. Linear convolution
-    with central truncation back to 2P-1 lags.
+    (by FFT) with central truncation back to 2P-1 lags.
     """
     p = z.window_size
     if ir_length is None:
         ir_length = 4 * p
     g = filter_autocorrelation(h, length=ir_length)
-    full = np.convolve(z.values, g)
+    full = signal.fftconvolve(z.values, g)
     center = (len(full) - 1) // 2
     return z.with_values(full[center - (p - 1) : center + p])
 

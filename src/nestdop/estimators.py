@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sp_signal
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coarray import CoarraySignal, build_toeplitz
 
@@ -125,6 +126,48 @@ def vandermonde_on_lags(frequencies: np.ndarray, p: int) -> np.ndarray:
 
 _SV_CUTOFF = 1e-10  # relative singular-value cutoff for pseudo-inverses
 
+# Smallest P at which an explicit model order goes to the Lanczos solver.
+# Measured on a 2-vCPU x86 machine, dense eigh vs Lanczos with m=1 and m=3:
+# P=64 0.9 ms vs 1.5/3.1 ms, P=96 1.9 vs 1.2/3.4 ms, P=128 4.3 vs 1.3/4.3 ms.
+_LANCZOS_MIN_P = 128
+
+
+def _dense_eigenpairs(z: CoarraySignal) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of the Hermitian part of the Toeplitz lag matrix, descending."""
+    r = build_toeplitz(z)
+    r = 0.5 * (r + r.conj().T)
+    evals, evecs = np.linalg.eigh(r)
+    return evals[::-1], evecs[:, ::-1]
+
+
+def _lanczos_eigenpairs(
+    z: CoarraySignal, m: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top-m eigenpairs of the same matrix by implicitly restarted Lanczos.
+
+    The matrix is never formed: its matvec is an FFT product on the
+    circulant embedding of the Hermitian part of z. The pairs come in no
+    particular order, which ESPRIT and the trace identity do not need.
+    Returns None when ARPACK does not converge.
+    """
+    p = z.window_size
+    h = 0.5 * (z.values + np.conj(z.values[::-1]))  # lags -(P-1)..P-1
+    n_fft = 1 << (2 * p - 2).bit_length()  # power of two >= 2P-1
+    c = np.zeros(n_fft, dtype=complex)
+    c[:p] = h[p - 1 :]  # lags 0..P-1
+    c[n_fft - (p - 1) :] = h[: p - 1]  # lags -(P-1)..-1, wrapped
+    c_hat = np.fft.fft(c)
+
+    def matvec(x):
+        return np.fft.ifft(c_hat * np.fft.fft(np.ravel(x), n_fft))[:p]
+
+    op = LinearOperator((p, p), matvec=matvec, dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(p).astype(complex)
+    try:
+        return eigsh(op, k=m, which="LA", v0=v0)
+    except ArpackNoConvergence:
+        return None
+
 
 def nesprit(
     z: CoarraySignal,
@@ -138,18 +181,31 @@ def nesprit(
     explicitly. Frequencies come from the eigenvalues of E1^+ E2 (shifted
     signal-subspace blocks); powers from least squares against z, after
     optionally subtracting the estimated noise floor from lag 0.
+
+    The noise floor is the mean of the trailing P-M eigenvalues. With an
+    explicit order 1 <= M < P-1 and P >= 128, only the top M eigenpairs are
+    computed, by Lanczos (ARPACK) with an O(P log P) FFT matvec, and the
+    noise floor follows exactly from the trace identity
+    (P*Re z(0) - sum of the top M eigenvalues) / (P - M). Otherwise, or if
+    ARPACK does not converge, a dense eigendecomposition of the P x P matrix
+    is used: the rank-count rule behind ``model_order=None`` needs every
+    eigenvalue.
     """
     p = z.window_size
-    r = build_toeplitz(z)
-    r = 0.5 * (r + r.conj().T)
-    evals, evecs = np.linalg.eigh(r)
-    evals = evals[::-1]  # descending
-    evecs = evecs[:, ::-1]
-    if model_order is None:
-        m = int(np.count_nonzero(soft_threshold(evals, lam)))
-    else:
+    top = None
+    if model_order is not None and p >= _LANCZOS_MIN_P and 0 < model_order < p - 1:
+        top = _lanczos_eigenpairs(z, model_order)
+    if top is not None:
         m = model_order
-    noise = estimate_noise_floor(evals, m) if m < p else 0.0
+        evals, evecs = top
+        noise = float((p * z.values[p - 1].real - evals.sum()) / (p - m))
+    else:
+        evals, evecs = _dense_eigenpairs(z)
+        if model_order is None:
+            m = int(np.count_nonzero(soft_threshold(evals, lam)))
+        else:
+            m = model_order
+        noise = estimate_noise_floor(evals, m) if m < p else 0.0
     if m == 0:
         return LineSpectrum(lines=(), noise_estimate=noise)
     if m > p - 1:

@@ -25,7 +25,7 @@ from .estimators import (
     welch,
     zero_fill,
 )
-from .patterns import EmissionPattern, Family, difference_set
+from .patterns import EmissionPattern, difference_set
 from .signals import (
     FrameSpec,
     PulsatileProfile,
@@ -85,16 +85,16 @@ def run_single_estimator(
     """One estimator on one CPI. Returns GridSpectrum or LineSpectrum."""
     if name == "welch":
         pattern = snapshots.pattern
-        if pattern.family is Family.STANDARD:
-            data = snapshots.data
+        if pattern.slots == tuple(range(1, pattern.window_size + 1)):
+            data = snapshots.data  # every slot filled, whatever the family
         elif cfg.zero_fill_welch:
             data = zero_fill(snapshots.data, pattern.slots, pattern.window_size)
         else:
             raise EstimationError(
-                "welch requires uniformly sampled slow-time data; the pattern "
-                f"is {pattern.family.value}. Set zero_fill_welch to embed the "
-                "sparse samples in a zero-filled window (leakage artifacts "
-                "are expected)."
+                "welch requires uniformly sampled slow-time data; the "
+                f"{pattern.family.value} pattern has idle slots. Set "
+                "zero_fill_welch to embed the sparse samples in a zero-filled "
+                "window (leakage artifacts are expected)."
             )
         return welch(data)
     if z is None:

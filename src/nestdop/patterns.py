@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 
 class Family(str, Enum):
     STANDARD = "standard"
@@ -123,13 +125,16 @@ class DifferenceSet:
 
     ``index_sets`` maps each unique lag to the 0-based positions in the
     column-stacked N x N covariance where that lag occurs: position
-    ``a + b*N`` corresponds to lag ``slots[a] - slots[b]``.
+    ``a + b*N`` corresponds to lag ``slots[a] - slots[b]``. ``position_lags``
+    is the inverse map, a read-only integer array holding the lag of every
+    column-stacked position.
     """
 
     window_size: int
     unique_lags: tuple[int, ...]
     multiplicity: dict
     index_sets: dict
+    position_lags: np.ndarray = field(compare=False, repr=False)
 
     def covers_full_range(self) -> bool:
         """True if every lag in [-(P-1), P-1] is realized by some pair."""
@@ -317,19 +322,23 @@ def build_standard(p: int) -> EmissionPattern:
 
 def difference_set(pattern: EmissionPattern) -> DifferenceSet:
     """All pairwise slot differences with multiplicities and covariance indices."""
-    slots = pattern.slots
-    n = len(slots)
-    index_sets: dict[int, list[int]] = {}
-    for b in range(n):
-        for a in range(n):
-            lag = slots[a] - slots[b]
-            index_sets.setdefault(lag, []).append(a + b * n)
-    lags = tuple(sorted(index_sets))
+    slots = np.asarray(pattern.slots)
+    position_lags = np.subtract.outer(slots, slots).ravel(order="F")
+    position_lags.setflags(write=False)
+    # a stable sort keeps each lag's positions ascending
+    order = np.argsort(position_lags, kind="stable")
+    lags, starts, counts = np.unique(
+        position_lags[order], return_index=True, return_counts=True
+    )
+    lags, order, counts = tuple(lags.tolist()), order.tolist(), counts.tolist()
     return DifferenceSet(
         window_size=pattern.window_size,
         unique_lags=lags,
-        multiplicity={l: len(index_sets[l]) for l in lags},
-        index_sets={l: tuple(index_sets[l]) for l in lags},
+        multiplicity=dict(zip(lags, counts)),
+        index_sets={
+            l: tuple(order[s : s + c]) for l, s, c in zip(lags, starts.tolist(), counts)
+        },
+        position_lags=position_lags,
     )
 
 

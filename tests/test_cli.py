@@ -136,6 +136,18 @@ class TestEstimateCommand:
         rc = main(["estimate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_welch_on_prime_optimal_nested(self, tmp_path):
+        # optimal nested at prime P fills every slot (N1=P-1, N2=1), so
+        # Welch runs without zero filling
+        doc = {**BASIC, "P": 13, "pattern": {"family": "nested", "optimal": True}}
+        cfg = write_config(tmp_path, {**doc, "estimators": ["welch"]})
+        assert ExperimentConfig.from_file(cfg).build_pattern().slots == tuple(
+            range(1, 14)
+        )
+        out_dir = tmp_path / "o"
+        assert main(["estimate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "welch_spectrum.csv").exists()
+
     def test_welch_with_zero_fill(self, tmp_path):
         cfg = write_config(
             tmp_path, {**BASIC, "estimators": ["welch"], "zero_fill_welch": True}

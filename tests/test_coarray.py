@@ -16,9 +16,11 @@ from nestdop.coarray import (
 )
 from nestdop.patterns import (
     KLevelParams,
+    build_coprime,
     build_klevel,
     build_nested,
     build_standard,
+    build_super_nested,
     difference_set,
 )
 from nestdop.signals import (
@@ -136,6 +138,26 @@ class TestLagAverage:
             lag_average(est, difference_set(pat))
         assert 5 in err.value.missing_lags or -5 in err.value.missing_lags
 
+    @pytest.mark.parametrize(
+        "pat",
+        [build_nested(5, 6), build_super_nested(6, 4), build_coprime(3, 5)],
+        ids=["nested", "super_nested", "coprime"],
+    )
+    def test_bincount_matches_loop_reference(self, pat):
+        # the per-lag loop over index sets that lag_average replaced
+        n = pat.n_transmissions
+        p = pat.window_size
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = 0.5 * (m + m.conj().T)
+        ds = difference_set(pat)
+        r_vec = m.flatten(order="F")
+        ref = np.array(
+            [r_vec[list(ds.index_sets[lag])].mean() for lag in range(-(p - 1), p)]
+        )
+        z = lag_average(CovarianceEstimate(matrix=m, q_used=1, mean_removed=False), ds)
+        np.testing.assert_allclose(z.values, ref, rtol=0, atol=1e-12)
+
 
 class TestBuildToeplitz:
     def test_exact_tone_rank_one(self):
@@ -247,6 +269,32 @@ class TestClutterFilter:
         mid = p - 1
         assert abs(out.values[mid]) < 5.0
         assert abs(out.values[mid]) > 0.5
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            sp_signal.firwin(31, 0.2 / 0.5, pass_zero=False),
+            butterworth_highpass(4, 0.03),
+        ],
+        ids=["fir", "butterworth"],
+    )
+    def test_fft_matches_direct_convolution(self, h):
+        # the direct correlate/convolve that the FFT path replaced
+        pat = build_nested(15, 16)
+        p = pat.window_size
+        z = exact_coarray(pat, ToneSet(((0.21, 1.0), (0.004, 30.0))), 0.1)
+        if isinstance(h, tuple):
+            imp = np.zeros(4 * p)
+            imp[0] = 1.0
+            hh = sp_signal.lfilter(*h, imp)
+        else:
+            hh = h
+        g = np.correlate(hh, np.conj(hh), mode="full")
+        full = np.convolve(z.values, g)
+        center = (len(full) - 1) // 2
+        ref = full[center - (p - 1) : center + p]
+        out = clutter_filter(z, h).values
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestApodize:

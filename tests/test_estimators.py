@@ -1,6 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from nestdop import estimators
 from nestdop.coarray import (
     CoarraySignal,
     CovarianceEstimate,
@@ -24,6 +30,7 @@ from nestdop.patterns import (
     build_nested,
     build_standard,
     difference_set,
+    optimal_nested,
 )
 from nestdop.signals import ToneSet, analytic_covariance, generate_snapshots
 
@@ -231,6 +238,95 @@ class TestNesprit:
         z = lag_average(estimate_covariance(snaps), difference_set(pat))
         spec = nesprit(z, model_order=1)
         assert abs(spec.dominant_frequency() - nu) < 5e-3
+
+
+def dense_nesprit_reference(z, orders):
+    """nesprit before the Lanczos path (full eigh, ESPRIT, least squares),
+    as {model order: (sorted lines, noise floor)}."""
+    p = z.window_size
+    r = toeplitz(z.values[p - 1 :], z.values[p - 1 :: -1])  # entry (i, j) = z(i - j)
+    evals, evecs = np.linalg.eigh(0.5 * (r + r.conj().T))
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    out = {}
+    for m in orders:
+        noise = float(np.mean(evals[m:]))
+        em = evecs[:, :m]
+        beta = np.linalg.eigvals(np.linalg.pinv(em[:-1], rcond=1e-10) @ em[1:])
+        nu = (np.angle(beta) / (2.0 * np.pi) + 0.5) % 1.0 - 0.5
+        zz = z.values.copy()
+        zz[p - 1] -= noise
+        powers, *_ = np.linalg.lstsq(vandermonde_on_lags(nu, p), zz, rcond=1e-10)
+        out[m] = (sorted(zip(nu.tolist(), np.real(powers).tolist())), noise)
+    return out
+
+
+def sampled_coarray(p, seed=0):
+    pat = build_nested(*optimal_nested(p))
+    tones = ToneSet(((0.21, 1.0), (-0.13, 0.7), (0.37, 0.4)))
+    snaps = generate_snapshots(tones, pat, 100, 0.1, rng_seed=seed)
+    return lag_average(estimate_covariance(snaps), difference_set(pat))
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("solver must not run on this path")
+
+
+class TestNespritLanczos:
+    @pytest.mark.parametrize("p", [128, 256, 1024])
+    def test_matches_dense_reference(self, p, monkeypatch):
+        z = sampled_coarray(p)
+        refs = dense_nesprit_reference(z, (1, 2, 3))
+        monkeypatch.setattr(estimators, "_dense_eigenpairs", _no_call)
+        for m, (ref_lines, ref_noise) in refs.items():
+            spec = nesprit(z, model_order=m)
+            assert spec.model_order == m
+            got, want = np.array(spec.lines), np.array(ref_lines)
+            np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=0, atol=1e-9)
+            assert spec.noise_estimate == pytest.approx(ref_noise, rel=1e-9)
+
+    def test_deterministic(self):
+        z = sampled_coarray(1024, seed=4)
+        first = nesprit(z, model_order=2)
+        assert nesprit(z, model_order=2).lines == first.lines
+
+    def test_thread_pool_matches_serial(self):
+        # spectrogram frames call nesprit from pool threads concurrently
+        zs = [sampled_coarray(256, seed=s) for s in range(6)]
+        serial = [nesprit(z, model_order=2).lines for z in zs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(nesprit, z, model_order=2) for z in zs]
+                pooled = [f.result(timeout=60).lines for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+
+    def test_small_p_stays_dense(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_lanczos_eigenpairs", _no_call)
+        z = sampled_coarray(12)
+        assert nesprit(z, model_order=1).model_order == 1
+
+    def test_rank_count_rule_stays_dense(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_lanczos_eigenpairs", _no_call)
+        pat = build_nested(15, 16)
+        z = exact_coarray(pat, ToneSet(((0.11, 1.0), (-0.27, 0.6))), 0.2)
+        assert nesprit(z, lam=0.5).model_order == 2
+
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        z = sampled_coarray(256)
+        ref_lines, ref_noise = dense_nesprit_reference(z, (2,))[2]
+        monkeypatch.setattr(estimators, "eigsh", no_convergence)
+        spec = nesprit(z, model_order=2)
+        np.testing.assert_allclose(
+            [f for f, _ in spec.lines], [f for f, _ in ref_lines], rtol=0, atol=1e-12
+        )
+        assert spec.noise_estimate == pytest.approx(ref_noise, rel=1e-12)
 
 
 class TestVandermonde:

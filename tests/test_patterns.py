@@ -234,6 +234,32 @@ class TestDifferenceSet:
                 a, b = i % n, i // n
                 assert pat.slots[a] - pat.slots[b] == lag
 
+    @pytest.mark.parametrize(
+        "pat",
+        [build_nested(4, 3), build_super_nested(5, 4), build_coprime(3, 5)],
+        ids=["nested", "super_nested", "coprime"],
+    )
+    def test_matches_loop_reference(self, pat):
+        # the pair loop that built the index sets before they were vectorized
+        slots, n = pat.slots, pat.n_transmissions
+        ref: dict[int, list[int]] = {}
+        for b in range(n):
+            for a in range(n):
+                ref.setdefault(slots[a] - slots[b], []).append(a + b * n)
+        ds = difference_set(pat)
+        assert ds.unique_lags == tuple(sorted(ref))
+        assert ds.index_sets == {l: tuple(v) for l, v in ref.items()}
+        assert ds.multiplicity == {l: len(v) for l, v in ref.items()}
+
+    def test_position_lags_invert_index_sets(self):
+        pat = build_coprime(3, 7)
+        ds = difference_set(pat)
+        n = pat.n_transmissions
+        assert ds.position_lags.shape == (n * n,)
+        for lag, indices in ds.index_sets.items():
+            np.testing.assert_array_equal(ds.position_lags[list(indices)], lag)
+        assert not ds.position_lags.flags.writeable
+
 
 class TestContiguousCoarray:
     def test_nested_always_true(self):
