@@ -147,8 +147,8 @@ def filter_autocorrelation(h, length: int | None = None) -> np.ndarray:
             )
     else:
         hh = np.asarray(h)
-    # same as np.correlate(hh, np.conj(hh), mode="full"), via FFT
-    return signal.fftconvolve(hh, hh[::-1])
+    # same as np.correlate(hh, hh, mode="full"), via FFT
+    return signal.fftconvolve(hh, np.conj(hh[::-1]))
 
 
 def clutter_filter(z: CoarraySignal, h, ir_length: int | None = None) -> CoarraySignal:

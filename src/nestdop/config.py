@@ -263,7 +263,9 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_doc(doc)
 

@@ -1,16 +1,15 @@
 """Experiment harnesses: single-CPI estimation, spectrograms, MSE sweeps.
 
-All runs are deterministic given a config and seed: per-frame and
-per-trial RNG streams are spawned from one root seed, and work-pool
-results are reassembled in index order.
+Every CPI goes through one path, :func:`estimate_cpi`: sample covariance ->
+lag averaging -> optional clutter filter and apodization -> each configured
+estimator. All runs are deterministic given a config and seed: per-frame and
+per-trial RNG streams are spawned from one root seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .estimators import (
     welch,
     zero_fill,
 )
-from .patterns import EmissionPattern, difference_set
+from .patterns import DifferenceSet, build_standard, difference_set
 from .signals import (
     FrameSpec,
     PulsatileProfile,
@@ -36,38 +35,13 @@ from .signals import (
 )
 from .spectrogram import Spectrogram, out_of_support_ratio, ridge_bin_errors
 
-WORKERS_ENV = "NESTDOP_WORKERS"
-
-
-def _pool_size() -> int:
-    value = os.environ.get(WORKERS_ENV)
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
-def _ordered_map(fn, items):
-    """Run fn over items in a work pool; results come back in input order."""
-    items = list(items)
-    if len(items) <= 1 or _pool_size() == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        return list(pool.map(fn, items))
-
 
 def sparse_coarray(
-    snapshots: SlowTimeSnapshots, cfg: ExperimentConfig
+    snapshots: SlowTimeSnapshots, cfg: ExperimentConfig, diffs: DifferenceSet
 ) -> CoarraySignal:
     """Covariance -> lag averaging -> optional clutter filter and apodization."""
     cov = estimate_covariance(snapshots, remove_mean=cfg.remove_mean)
-    z = lag_average(cov, difference_set(snapshots.pattern))
-    return condition_coarray(z, cfg)
-
-
-def condition_coarray(z: CoarraySignal, cfg: ExperimentConfig) -> CoarraySignal:
+    z = lag_average(cov, diffs)
     if cfg.filter_spec is not None:
         z = clutter_filter(z, cfg.filter_spec.coefficients())
     window = cfg.apodization_window()
@@ -76,39 +50,48 @@ def condition_coarray(z: CoarraySignal, cfg: ExperimentConfig) -> CoarraySignal:
     return z
 
 
-def run_single_estimator(
-    name: str,
-    snapshots: SlowTimeSnapshots,
-    cfg: ExperimentConfig,
-    z: CoarraySignal | None = None,
-):
-    """One estimator on one CPI. Returns GridSpectrum or LineSpectrum."""
-    if name == "welch":
-        pattern = snapshots.pattern
-        if pattern.slots == tuple(range(1, pattern.window_size + 1)):
-            data = snapshots.data  # every slot filled, whatever the family
-        elif cfg.zero_fill_welch:
-            data = zero_fill(snapshots.data, pattern.slots, pattern.window_size)
-        else:
-            raise EstimationError(
-                "welch requires uniformly sampled slow-time data; the "
-                f"{pattern.family.value} pattern has idle slots. Set "
-                "zero_fill_welch to embed the sparse samples in a zero-filled "
-                "window (leakage artifacts are expected)."
+def _welch_input(snapshots: SlowTimeSnapshots, cfg: ExperimentConfig) -> np.ndarray:
+    """Uniformly sampled slow-time data for Welch, or an EstimationError."""
+    pattern = snapshots.pattern
+    if pattern.slots == tuple(range(1, pattern.window_size + 1)):
+        return snapshots.data  # every slot filled, whatever the family
+    if cfg.zero_fill_welch:
+        return zero_fill(snapshots.data, pattern.slots, pattern.window_size)
+    raise EstimationError(
+        "welch requires uniformly sampled slow-time data; the "
+        f"{pattern.family.value} pattern has idle slots. Set "
+        "zero_fill_welch to embed the sparse samples in a zero-filled "
+        "window (leakage artifacts are expected)."
+    )
+
+
+def estimate_cpi(
+    snapshots: SlowTimeSnapshots, cfg: ExperimentConfig, diffs: DifferenceSet
+) -> tuple[CoarraySignal | None, dict[str, GridSpectrum | LineSpectrum]]:
+    """Every estimator in ``cfg.estimators`` on one CPI.
+
+    The coarray is built once and shared by ``nest`` and ``nesprit``; it is
+    None when only Welch runs. ``diffs`` is the pattern's difference set.
+    """
+    z = None
+    if any(name != "welch" for name in cfg.estimators):
+        z = sparse_coarray(snapshots, cfg, diffs)
+    spectra = {}
+    for name in cfg.estimators:
+        if name == "welch":
+            spectra[name] = welch(_welch_input(snapshots, cfg))
+        elif name == "nest":
+            spectra[name] = nest(z, cfg.nest_lambda)
+        elif name == "nesprit":
+            spectra[name] = nesprit(
+                z,
+                cfg.rank_lambda,
+                model_order=cfg.model_order,
+                subtract_noise=cfg.subtract_noise,
             )
-        return welch(data)
-    if z is None:
-        z = sparse_coarray(snapshots, cfg)
-    if name == "nest":
-        return nest(z, cfg.nest_lambda)
-    if name == "nesprit":
-        return nesprit(
-            z,
-            cfg.rank_lambda,
-            model_order=cfg.model_order,
-            subtract_noise=cfg.subtract_noise,
-        )
-    raise EstimationError(f"unknown estimator {name!r}")
+        else:
+            raise EstimationError(f"unknown estimator {name!r}")
+    return z, spectra
 
 
 def run_estimate(cfg: ExperimentConfig) -> dict:
@@ -119,42 +102,37 @@ def run_estimate(cfg: ExperimentConfig) -> dict:
     snapshots = generate_snapshots(
         cfg.tones, pattern, cfg.q, noise_power=cfg.noise_power, rng_seed=cfg.seed
     )
-    z = None
-    if any(e in ("nest", "nesprit") for e in cfg.estimators):
-        z = sparse_coarray(snapshots, cfg)
-    out = {"pattern": pattern, "coarray": z, "spectra": {}}
-    for name in cfg.estimators:
-        out["spectra"][name] = run_single_estimator(name, snapshots, cfg, z=z)
-    return out
-
-
-def _dense_bins(p: int) -> int:
-    return 2 * p - 1
+    z, spectra = estimate_cpi(snapshots, cfg, difference_set(pattern))
+    return {"pattern": pattern, "coarray": z, "spectra": spectra}
 
 
 def run_spectrogram_frames(
-    frames_data: list[SlowTimeSnapshots], cfg: ExperimentConfig, estimator: str
-) -> Spectrogram:
-    """One spectrum per CPI frame; frames are processed in a work pool."""
+    frames_data: list[SlowTimeSnapshots], cfg: ExperimentConfig
+) -> dict[str, Spectrogram]:
+    """One spectrum per CPI frame for every estimator, in frame order.
 
-    def one(indexed):
-        idx, snapshots = indexed
-        spec = run_single_estimator(estimator, snapshots, cfg)
-        if isinstance(spec, LineSpectrum):
-            spec = spec.rasterize(_dense_bins(cfg.window_size))
-        return idx, spec
-
-    results = _ordered_map(one, list(enumerate(frames_data)))
-    return Spectrogram(
-        frames=tuple(results),
-        metadata={
-            "estimator": estimator,
-            "P": cfg.window_size,
-            "pattern": cfg.pattern_doc,
-            "filter": None if cfg.filter_spec is None else cfg.filter_spec.kind,
-            "apodization": cfg.apodization,
-        },
-    )
+    Line spectra are rasterized onto the dense 2P-1 grid.
+    """
+    diffs = difference_set(frames_data[0].pattern)
+    frames: dict[str, list] = {name: [] for name in cfg.estimators}
+    for idx, snapshots in enumerate(frames_data):
+        for name, spec in estimate_cpi(snapshots, cfg, diffs)[1].items():
+            if isinstance(spec, LineSpectrum):
+                spec = spec.rasterize(2 * cfg.window_size - 1)
+            frames[name].append((idx, spec))
+    return {
+        name: Spectrogram(
+            frames=tuple(spectra),
+            metadata={
+                "estimator": name,
+                "P": cfg.window_size,
+                "pattern": cfg.pattern_doc,
+                "filter": None if cfg.filter_spec is None else cfg.filter_spec.kind,
+                "apodization": cfg.apodization,
+            },
+        )
+        for name, spectra in frames.items()
+    }
 
 
 def run_spectrogram(cfg: ExperimentConfig) -> dict:
@@ -164,10 +142,8 @@ def run_spectrogram(cfg: ExperimentConfig) -> dict:
     frames_data = generate_pulsatile(
         cfg.profile, pattern, cfg.q, noise_power=cfg.noise_power, rng_seed=cfg.seed
     )
-    out = {"pattern": pattern, "spectrograms": {}}
-    for name in cfg.estimators:
-        out["spectrograms"][name] = run_spectrogram_frames(frames_data, cfg, name)
-    return out
+    grams = run_spectrogram_frames(frames_data, cfg)
+    return {"pattern": pattern, "spectrograms": grams}
 
 
 def sinusoidal_profile(
@@ -220,8 +196,9 @@ def _frequency_error(true_nu: float, est_nu: float) -> float:
 def run_mse(cfg: ExperimentConfig) -> list[MseRow]:
     """Monte Carlo MSE of peak-frequency estimates versus SNR.
 
-    The coarray estimators see the sparse pattern; the Welch baseline sees fully
-    sampled data over the same window, matching conventional processing.
+    The coarray estimators see the sparse pattern, through the configured
+    clutter filter and apodization; the Welch baseline sees fully sampled
+    data over the same window, matching conventional processing.
     """
     if cfg.tones is None or len(cfg.tones.tones) != 1:
         raise EstimationError("the MSE sweep expects a single-tone 'tones' entry")
@@ -229,51 +206,43 @@ def run_mse(cfg: ExperimentConfig) -> list[MseRow]:
         raise EstimationError("the MSE sweep needs a nonempty snr_list_db")
     true_nu, tone_power = cfg.tones.tones[0]
     pattern = cfg.build_pattern()
-    from .patterns import build_standard
-
     full = build_standard(cfg.window_size)
     diffs = difference_set(pattern)
-    model_order = cfg.model_order if cfg.model_order is not None else 1
+    sparse_cfg = replace(
+        cfg, estimators=("nest", "nesprit"), model_order=cfg.model_order or 1
+    )
     root = np.random.SeedSequence(cfg.seed)
     snr_seeds = root.spawn(len(cfg.snr_list_db))
 
     rows: list[MseRow] = []
     for snr_db, snr_seed in zip(cfg.snr_list_db, snr_seeds):
         noise_power = tone_power / 10.0 ** (snr_db / 10.0)
-        trial_seeds = snr_seed.spawn(cfg.trials)
-
-        def one_trial(seed, _noise=noise_power):
+        errors = []
+        for seed in snr_seed.spawn(cfg.trials):
             sparse_seed, full_seed = seed.spawn(2)
             snaps = generate_snapshots(
                 cfg.tones,
                 pattern,
                 cfg.q,
-                noise_power=_noise,
+                noise_power=noise_power,
                 rng_seed=int(sparse_seed.generate_state(1)[0]),
             )
-            cov = estimate_covariance(snaps, remove_mean=cfg.remove_mean)
-            z = lag_average(cov, diffs)
-            nest_nu = nest(z, cfg.nest_lambda).peak_frequency()
-            lines = nesprit(
-                z, model_order=model_order, subtract_noise=cfg.subtract_noise
-            )
-            nesprit_nu = lines.dominant_frequency()
+            spectra = estimate_cpi(snaps, sparse_cfg, diffs)[1]
             full_snaps = generate_snapshots(
                 cfg.tones,
                 full,
                 cfg.q,
-                noise_power=_noise,
+                noise_power=noise_power,
                 rng_seed=int(full_seed.generate_state(1)[0]),
             )
-            welch_nu = welch(full_snaps.data).peak_frequency()
-            return (
-                _frequency_error(true_nu, nest_nu),
-                _frequency_error(true_nu, nesprit_nu),
-                _frequency_error(true_nu, welch_nu),
+            errors.append(
+                (
+                    _frequency_error(true_nu, spectra["nest"].peak_frequency()),
+                    _frequency_error(true_nu, spectra["nesprit"].dominant_frequency()),
+                    _frequency_error(true_nu, welch(full_snaps.data).peak_frequency()),
+                )
             )
-
-        errors = np.array(_ordered_map(one_trial, trial_seeds))
-        for name, col in zip(("nest", "nesprit", "welch"), errors.T):
+        for name, col in zip(("nest", "nesprit", "welch"), np.array(errors).T):
             rows.append(MseRow(snr_db=snr_db, estimator=name, mse=float(col.mean())))
     return rows
 
@@ -286,19 +255,14 @@ def run_compare(cfg: ExperimentConfig, support_halfwidth: float | None = None) -
     """
     if cfg.profile is None:
         raise EstimationError("compare needs a 'profile' entry in the config")
-    pattern = cfg.build_pattern()
     if support_halfwidth is None:
-        support_halfwidth = 10.0 / _dense_bins(cfg.window_size)
-    frames_data = generate_pulsatile(
-        cfg.profile, pattern, cfg.q, noise_power=cfg.noise_power, rng_seed=cfg.seed
-    )
+        support_halfwidth = 10.0 / (2 * cfg.window_size - 1)
+    report = run_spectrogram(cfg)
     truth = profile_ridge(cfg.profile)
-    report: dict = {"pattern": pattern, "spectrograms": {}, "stats": {}}
-    for name in cfg.estimators:
-        gram = run_spectrogram_frames(frames_data, cfg, name)
+    report["stats"] = {}
+    for name, gram in report["spectrograms"].items():
         bin_errors = ridge_bin_errors(gram, truth)
         artifact = out_of_support_ratio(gram, truth, support_halfwidth)
-        report["spectrograms"][name] = gram
         report["stats"][name] = {
             "ridge_rms_bins": float(np.sqrt(np.mean(bin_errors.astype(float) ** 2))),
             "ridge_within_one_bin": float(np.mean(bin_errors <= 1)),

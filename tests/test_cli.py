@@ -171,6 +171,19 @@ class TestEstimateCommand:
         path.write_text("{not json")
         assert main(["estimate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"\xff\xfe{")
+        rc = main(["estimate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: ") and "Traceback" not in err
+
     def test_unknown_estimator_override(self, tmp_path):
         cfg = write_config(tmp_path, BASIC)
         rc = main(

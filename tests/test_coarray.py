@@ -248,6 +248,22 @@ class TestClutterFilter:
         h = sp_signal.lfilter(b, a, imp)
         np.testing.assert_allclose(g, np.correlate(h, h, "full"), atol=1e-12)
 
+    def test_complex_fir_scales_tone_by_magnitude_response(self):
+        # the filter's autocorrelation is h conv conj(h[-n]), so a unit tone
+        # at nu comes out scaled by |H(nu)|^2 at every lag, lag 0 included
+        p, nu = 64, 0.2
+        lags = np.arange(-(p - 1), p)
+        z = CoarraySignal(p, np.exp(2j * np.pi * nu * lags))
+        h = np.array([1.0, 0.5j, -0.25])
+        out = clutter_filter(z, h)
+        gain = abs(np.sum(h * np.exp(-2j * np.pi * nu * np.arange(3)))) ** 2
+        assert gain == pytest.approx(2.9058, abs=1e-4)
+        assert out.value(0) == pytest.approx(gain, abs=1e-12)
+        interior = np.abs(lags) <= p - 3
+        np.testing.assert_allclose(
+            out.values[interior], gain * z.values[interior], atol=1e-12
+        )
+
     def test_conjugate_symmetry_preserved(self):
         pat = build_nested(4, 4)
         z = exact_coarray(pat, ToneSet(((0.21, 1.0), (-0.07, 2.0))), 0.1)
