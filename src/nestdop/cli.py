@@ -11,12 +11,11 @@ import json
 import sys
 from pathlib import Path
 
-from . import patterns
 from .coarray import CoarrayHoleError
 from .config import ConfigError, ExperimentConfig, pattern_from_doc
 from .estimators import EstimationError, GridSpectrum, LineSpectrum
 from .experiments import run_compare, run_estimate, run_mse, run_spectrogram
-from .patterns import KLevelParams, PatternError
+from .patterns import PatternError, verify_contiguous_coarray
 from .serialize import (
     write_coarray_csv,
     write_lines_csv,
@@ -58,28 +57,15 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.nest_lambda is not None:
-        overrides["nest_lambda"] = args.nest_lambda
-    if args.pattern is not None:
-        pattern_doc = {"family": args.pattern}
-        pattern_from_doc(pattern_doc, cfg.window_size)  # validate
-        overrides["pattern_doc"] = pattern_doc
-    if args.estimator:
-        from .config import VALID_ESTIMATORS
-
-        bad = [e for e in args.estimator if e not in VALID_ESTIMATORS]
-        if bad:
-            raise ConfigError(f"unknown estimators {bad}; valid: {VALID_ESTIMATORS}")
-        overrides["estimators"] = tuple(args.estimator)
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
+    overrides = {
+        "seed": args.seed,
+        "nest_lambda": args.nest_lambda,
+        "pattern": None if args.pattern is None else {"family": args.pattern},
+        "estimators": args.estimator,
+    }
+    return ExperimentConfig.from_file(
+        args.config, {k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def _write_spectrum(spec, stem: Path, fmt: str):
@@ -97,32 +83,19 @@ def _write_spectrum(spec, stem: Path, fmt: str):
 
 def cmd_design(args) -> int:
     p = args.P
-    family = args.family
-    if family == "nested":
-        variants = []
-        n1, n2 = patterns.optimal_nested(p, "fewer_larger_gaps")
-        variants.append((n1, n2))
-        alt = patterns.optimal_nested(p, "more_smaller_gaps")
-        if alt != (n1, n2):
-            variants.append(alt)
-        if args.n1 is not None:
-            variants = [(args.n1, args.n2)]
-        built = [patterns.build_nested(a, b) for a, b in variants]
-    elif family == "super_nested":
-        if args.n1 is None or args.n2 is None:
-            raise ConfigError("super_nested requires --n1 and --n2")
-        built = [patterns.build_super_nested(args.n1, args.n2)]
-    elif family == "coprime":
-        if args.n1 is None or args.n2 is None:
-            raise ConfigError("coprime requires --n1 and --n2")
-        built = [patterns.build_coprime(args.n1, args.n2)]
-    elif family == "k_level":
-        if args.levels:
-            built = [patterns.build_klevel(KLevelParams(tuple(args.levels)))]
-        else:
-            built = [patterns.build_klevel(patterns.optimal_klevel(p))]
-    else:
-        built = [patterns.build_standard(p)]
+    doc = {"family": args.family}
+    for key, value in (("N1", args.n1), ("N2", args.n2), ("levels", args.levels)):
+        if value is not None:
+            doc[key] = value
+    docs = [doc]
+    if args.family == "nested" and args.n1 is None:
+        # both optimal variants; they coincide when P is a perfect square
+        prefs = ("fewer_larger_gaps", "more_smaller_gaps")
+        docs = [{**doc, "preference": pref} for pref in prefs]
+    built = []
+    for pat in (pattern_from_doc(d, p) for d in docs):
+        if pat not in built:
+            built.append(pat)
 
     reports = []
     for pat in built:
@@ -135,7 +108,7 @@ def cmd_design(args) -> int:
             "transmissions": pat.n_transmissions,
             "savings_percent": round(100.0 * (1 - pat.n_transmissions / p), 1),
             "gaps": {"count": len(gaps), "sizes": sorted(set(gaps))},
-            "contiguous_coarray": patterns.verify_contiguous_coarray(pat),
+            "contiguous_coarray": verify_contiguous_coarray(pat),
         }
         reports.append(report)
         print(
@@ -242,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--family",
         default="nested",
         choices=("nested", "super_nested", "coprime", "k_level", "standard"),
-    )
-    p_design.add_argument(
-        "--preference",
-        default="fewer_larger_gaps",
-        choices=("fewer_larger_gaps", "more_smaller_gaps"),
     )
     p_design.add_argument("--n1", type=int)
     p_design.add_argument("--n2", type=int)

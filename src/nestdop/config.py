@@ -21,9 +21,39 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+# top-level keys that ExperimentConfig.from_doc accepts
+CONFIG_KEYS = (
+    "P",
+    "pattern",
+    "tones",
+    "velocities",
+    "profile",
+    "Q",
+    "noise_power",
+    "snr_db",
+    "snr_list_db",
+    "trials",
+    "nest_lambda",
+    "rank_lambda",
+    "model_order",
+    "remove_mean",
+    "subtract_noise",
+    "filter",
+    "apodization",
+    "zero_fill_welch",
+    "estimators",
+    "seed",
+    "physical",
+)
+
+
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -46,7 +76,7 @@ class FilterSpec:
                 "filter.cutoff must be in (0, 0.5) cycles/sample",
             )
             order = doc.get("order", 4)
-            _require(isinstance(order, int) and order >= 1, "filter.order must be >= 1")
+            _require(_is_int(order) and order >= 1, "filter.order must be an integer >= 1")
             return cls(kind=kind, cutoff=float(cutoff), order=order)
         if kind == "fir":
             taps = doc.get("taps")
@@ -104,35 +134,25 @@ class ExperimentConfig:
         return np.ones(p)
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "ExperimentConfig":
+    def from_doc(cls, doc: dict, overrides: dict | None = None) -> "ExperimentConfig":
+        """Validate a config document; ``overrides`` replace its top-level keys."""
         _require(isinstance(doc, dict), "config must be a JSON object")
-        unknown = set(doc) - {
-            "P",
-            "pattern",
-            "tones",
-            "velocities",
-            "profile",
-            "Q",
-            "noise_power",
-            "snr_db",
-            "snr_list_db",
-            "trials",
-            "nest_lambda",
-            "rank_lambda",
-            "model_order",
-            "remove_mean",
-            "subtract_noise",
-            "filter",
-            "apodization",
-            "zero_fill_welch",
-            "estimators",
-            "seed",
-            "physical",
-        }
+        doc = {**doc, **(overrides or {})}
+        unknown = set(doc) - set(CONFIG_KEYS)
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+        try:
+            return cls._parse(doc)
+        except ConfigError:
+            raise
+        except KeyError as exc:
+            raise ConfigError(f"missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed value: {exc}") from exc
 
+    @classmethod
+    def _parse(cls, doc: dict) -> "ExperimentConfig":
         p = doc.get("P")
-        _require(isinstance(p, int) and p >= 2, "P must be an integer >= 2")
+        _require(_is_int(p) and p >= 2, "P must be an integer >= 2")
 
         pattern_doc = doc.get("pattern", {"family": "nested", "optimal": True})
         _require(isinstance(pattern_doc, dict), "pattern must be an object")
@@ -142,46 +162,34 @@ class ExperimentConfig:
         if "physical" in doc:
             ph = doc["physical"]
             _require(isinstance(ph, dict), "physical must be an object")
-            try:
-                physical = PhysicalParams(
-                    f0_hz=float(ph["f0_hz"]),
-                    fprf_hz=float(ph["fprf_hz"]),
-                    c_m_s=float(ph.get("c_m_s", 1540.0)),
-                )
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"bad physical parameters: {exc}") from exc
+            physical = PhysicalParams(
+                f0_hz=float(ph["f0_hz"]),
+                fprf_hz=float(ph["fprf_hz"]),
+                c_m_s=float(ph.get("c_m_s", 1540.0)),
+            )
 
         tones = None
         if "tones" in doc:
-            try:
-                tones = ToneSet(tuple((float(nu), float(pw)) for nu, pw in doc["tones"]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad tones: {exc}") from exc
+            tones = ToneSet(tuple((float(nu), float(pw)) for nu, pw in doc["tones"]))
         if "velocities" in doc:
             _require(tones is None, "give either tones or velocities, not both")
             _require(
                 physical is not None,
                 "velocities require the physical parameter block",
             )
-            try:
-                tones = ToneSet(
-                    tuple(
-                        (physical.normalized_frequency(float(v)), float(pw))
-                        for v, pw in doc["velocities"]
-                    )
+            tones = ToneSet(
+                tuple(
+                    (physical.normalized_frequency(float(v)), float(pw))
+                    for v, pw in doc["velocities"]
                 )
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad velocities: {exc}") from exc
+            )
 
         profile = None
         if "profile" in doc:
-            try:
-                profile = PulsatileProfile.from_json(json.dumps(doc["profile"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad profile: {exc}") from exc
+            profile = PulsatileProfile.from_json(json.dumps(doc["profile"]))
 
         q = doc.get("Q", 33)
-        _require(isinstance(q, int) and q >= 1, "Q must be an integer >= 1")
+        _require(_is_int(q) and q >= 1, "Q must be an integer >= 1")
 
         noise_power = doc.get("noise_power", 0.0)
         _require(
@@ -204,7 +212,7 @@ class ExperimentConfig:
         snr_list = tuple(float(s) for s in doc.get("snr_list_db", ()))
 
         trials = doc.get("trials", 1000)
-        _require(isinstance(trials, int) and trials >= 1, "trials must be >= 1")
+        _require(_is_int(trials) and trials >= 1, "trials must be an integer >= 1")
 
         estimators = tuple(doc.get("estimators", ["nest", "nesprit"]))
         bad = [e for e in estimators if e not in VALID_ESTIMATORS]
@@ -223,7 +231,7 @@ class ExperimentConfig:
 
         model_order = doc.get("model_order")
         _require(
-            model_order is None or (isinstance(model_order, int) and model_order >= 1),
+            model_order is None or (_is_int(model_order) and model_order >= 1),
             "model_order must be a positive integer",
         )
 
@@ -235,7 +243,7 @@ class ExperimentConfig:
             )
 
         seed = doc.get("seed", 0)
-        _require(isinstance(seed, int), "seed must be an integer")
+        _require(_is_int(seed), "seed must be an integer")
 
         return cls(
             window_size=p,
@@ -260,14 +268,14 @@ class ExperimentConfig:
         )
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         try:
             doc = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_doc(doc)
+        return cls.from_doc(doc, overrides)
 
 
 def pattern_from_doc(doc: dict, p: int) -> EmissionPattern:
@@ -299,7 +307,7 @@ def pattern_from_doc(doc: dict, p: int) -> EmissionPattern:
                 pat = patterns.build_klevel(patterns.optimal_klevel(p))
     except KeyError as exc:
         raise ConfigError(f"pattern family {family.value} needs parameter {exc}") from exc
-    except PatternError as exc:
+    except (PatternError, TypeError) as exc:
         raise ConfigError(f"bad pattern parameters: {exc}") from exc
     if pat.window_size != p:
         raise ConfigError(

@@ -121,33 +121,27 @@ class KLevelParams:
 
 @dataclass(frozen=True)
 class DifferenceSet:
-    """All pairwise slot differences of a pattern, with bookkeeping.
+    """All pairwise slot differences of a pattern, with multiplicities.
 
-    ``index_sets`` maps each unique lag to the 0-based positions in the
-    column-stacked N x N covariance where that lag occurs: position
-    ``a + b*N`` corresponds to lag ``slots[a] - slots[b]``. ``position_lags``
-    is the inverse map, a read-only integer array holding the lag of every
-    column-stacked position.
+    ``position_lags`` is a read-only integer array holding the lag of every
+    position of the column-stacked N x N covariance: position ``a + b*N``
+    has lag ``slots[a] - slots[b]``.
     """
 
     window_size: int
     unique_lags: tuple[int, ...]
     multiplicity: dict
-    index_sets: dict
     position_lags: np.ndarray = field(compare=False, repr=False)
 
-    def covers_full_range(self) -> bool:
-        """True if every lag in [-(P-1), P-1] is realized by some pair."""
-        present = set(self.unique_lags)
-        return all(l in present for l in range(-(self.window_size - 1), self.window_size))
-
     def missing_lags(self) -> list[int]:
-        present = set(self.unique_lags)
-        return [
-            l
-            for l in range(-(self.window_size - 1), self.window_size)
-            if l not in present
-        ]
+        """Lags in [-(P-1), P-1] that no slot pair realizes.
+
+        Lags beyond the window (co-prime patterns) are ignored.
+        """
+        p = self.window_size
+        bins = self.position_lags + (p - 1)
+        counts = np.bincount(bins[(bins >= 0) & (bins < 2 * p - 1)], minlength=2 * p - 1)
+        return (np.flatnonzero(counts == 0) - (p - 1)).tolist()
 
 
 def build_nested(n1: int, n2: int) -> EmissionPattern:
@@ -321,23 +315,16 @@ def build_standard(p: int) -> EmissionPattern:
 
 
 def difference_set(pattern: EmissionPattern) -> DifferenceSet:
-    """All pairwise slot differences with multiplicities and covariance indices."""
+    """All pairwise slot differences with multiplicities and covariance positions."""
     slots = np.asarray(pattern.slots)
     position_lags = np.subtract.outer(slots, slots).ravel(order="F")
     position_lags.setflags(write=False)
-    # a stable sort keeps each lag's positions ascending
-    order = np.argsort(position_lags, kind="stable")
-    lags, starts, counts = np.unique(
-        position_lags[order], return_index=True, return_counts=True
-    )
-    lags, order, counts = tuple(lags.tolist()), order.tolist(), counts.tolist()
+    lags, counts = np.unique(position_lags, return_counts=True)
+    lags = tuple(lags.tolist())
     return DifferenceSet(
         window_size=pattern.window_size,
         unique_lags=lags,
-        multiplicity=dict(zip(lags, counts)),
-        index_sets={
-            l: tuple(order[s : s + c]) for l, s, c in zip(lags, starts.tolist(), counts)
-        },
+        multiplicity=dict(zip(lags, counts.tolist())),
         position_lags=position_lags,
     )
 
@@ -350,4 +337,4 @@ def verify_contiguous_coarray(pattern: EmissionPattern) -> bool:
     (they realize extra lags beyond the window, which lag averaging
     ignores).
     """
-    return difference_set(pattern).covers_full_range()
+    return not difference_set(pattern).missing_lags()

@@ -78,16 +78,6 @@ def write_coarray_csv(z: CoarraySignal, path) -> None:
             fh.write(f"{lag},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
-def write_coarray_json(z: CoarraySignal, path) -> None:
-    doc = {
-        "P": z.window_size,
-        "lags": [int(l) for l in z.lags],
-        "re": [float(v.real) for v in z.values],
-        "im": [float(v.imag) for v in z.values],
-    }
-    Path(path).write_text(json.dumps(doc))
-
-
 def write_spectrum_csv(spectrum: GridSpectrum, path) -> None:
     with open(path, "w") as fh:
         fh.write("bin,frequency,power\n")

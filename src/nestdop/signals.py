@@ -77,11 +77,13 @@ class FrameSpec:
     clutter_frequency: float | None = None
     clutter_db: float | None = None
 
+    def __post_init__(self):
+        if self.clutter_frequency is not None and self.clutter_db is None:
+            raise ValueError("clutter frequency given without clutter_db")
+
     def effective_tones(self) -> ToneSet:
         if self.clutter_frequency is None:
             return self.tones
-        if self.clutter_db is None:
-            raise ValueError("clutter frequency given without clutter_db")
         clutter_power = self.tones.total_power * 10.0 ** (self.clutter_db / 10.0)
         return ToneSet(self.tones.tones + ((self.clutter_frequency, clutter_power),))
 
@@ -91,18 +93,14 @@ class PulsatileProfile:
     """Time-varying spectral content: one FrameSpec per CPI frame."""
 
     frames: tuple[FrameSpec, ...]
-    frame_duration_cpis: int = 1
 
     def __post_init__(self):
         if not self.frames:
             raise ValueError("profile has no frames")
-        if self.frame_duration_cpis < 1:
-            raise ValueError("frame_duration_cpis must be >= 1")
 
     def to_json(self) -> str:
         return json.dumps(
             {
-                "frame_duration_cpis": self.frame_duration_cpis,
                 "frames": [
                     {
                         "tones": [list(t) for t in f.tones.tones],
@@ -125,7 +123,10 @@ class PulsatileProfile:
             )
             for f in doc["frames"]
         )
-        return cls(frames=frames, frame_duration_cpis=doc.get("frame_duration_cpis", 1))
+        # older documents carry "frame_duration_cpis": 1
+        if doc.get("frame_duration_cpis", 1) != 1:
+            raise ValueError("frame_duration_cpis must be 1: each frame is one CPI")
+        return cls(frames=frames)
 
 
 def steering_matrix(tones: ToneSet, pattern: EmissionPattern) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nestdop.cli import main
-from nestdop.config import ConfigError, ExperimentConfig, pattern_from_doc
+from nestdop.config import CONFIG_KEYS, ConfigError, ExperimentConfig, pattern_from_doc
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -22,8 +22,46 @@ BASIC = {
     "seed": 42,
 }
 
+PHYSICAL = {"f0_hz": 5e6, "fprf_hz": 2000.0}
+
+# a valid non-default value for every top-level config key, with the other
+# keys that value needs: (context, value)
+KNOBS = {
+    "P": ({}, 24),
+    "pattern": ({}, {"family": "standard"}),
+    "tones": ({}, [[0.2, 1.0]]),
+    "velocities": ({"physical": PHYSICAL}, [[0.1, 1.0]]),
+    "profile": ({}, {"frames": [{"tones": [[0.1, 1.0]]}]}),
+    "Q": ({}, 16),
+    "noise_power": ({}, 0.5),
+    "snr_db": ({"tones": [[0.2, 1.0]]}, 10.0),
+    "snr_list_db": ({}, [0.0, 10.0]),
+    "trials": ({}, 5),
+    "nest_lambda": ({}, 0.5),
+    "rank_lambda": ({}, 0.5),
+    "model_order": ({}, 2),
+    "remove_mean": ({}, True),
+    "subtract_noise": ({}, False),
+    "filter": ({}, {"type": "fir", "taps": [1.0, -1.0]}),
+    "apodization": ({}, "hann"),
+    "zero_fill_welch": ({}, True),
+    "estimators": ({}, ["welch"]),
+    "seed": ({}, 7),
+    "physical": ({}, PHYSICAL),
+}
+
 
 class TestConfig:
+    def test_knob_table_covers_every_key(self):
+        assert set(KNOBS) == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(KNOBS))
+    def test_every_key_changes_the_config(self, key):
+        # a key that is parsed and then dropped leaves the config unchanged
+        context, value = KNOBS[key]
+        base = ExperimentConfig.from_doc({"P": 12, **context})
+        assert ExperimentConfig.from_doc({"P": 12, **context, key: value}) != base
+
     def test_basic_round(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, BASIC))
         assert cfg.window_size == 12
@@ -109,6 +147,36 @@ class TestDesign:
     def test_super_nested_needs_params(self, tmp_path):
         assert main(["design", "256", "--family", "super_nested", "--out-dir", str(tmp_path)]) == 2
 
+    def test_nested_n1_needs_n2(self, tmp_path, capsys):
+        assert main(["design", "256", "--n1", "15", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "N2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["256", "--family", "k_level", "--levels", "2", "3"],
+            ["256", "--family", "coprime", "--n1", "3", "--n2", "7"],
+            ["255", "--family", "super_nested", "--n1", "15", "--n2", "16"],
+        ],
+        ids=["k_level", "coprime", "super_nested"],
+    )
+    def test_explicit_params_must_match_window(self, tmp_path, capsys, argv):
+        assert main(["design", *argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"config says P={argv[0]}" in err
+        assert not (tmp_path / "design.json").exists()
+
+    def test_k_level_levels_savings(self, tmp_path, capsys):
+        argv = ["design", "9", "--family", "k_level", "--levels", "2", "3"]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert "savings=44.4%" in capsys.readouterr().out
+
+    def test_preference_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "256", "--preference", "more_smaller_gaps"])
+        assert exc.value.code == 2
+
     def test_super_nested(self, tmp_path):
         rc = main(
             ["design", "256", "--family", "super_nested", "--n1", "15", "--n2", "16",
@@ -192,6 +260,15 @@ class TestEstimateCommand:
         )
         assert rc == 2
 
+    def test_negative_lambda_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASIC)
+        rc = main(
+            ["estimate", "--config", str(cfg), "--lambda", "-1",
+             "--out-dir", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert "nest_lambda" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, BASIC)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -228,6 +305,49 @@ PROFILE_DOC = {
     ],
     "frame_duration_cpis": 1,
 }
+
+
+def _without(doc, *keys):
+    return {k: v for k, v in doc.items() if k not in keys}
+
+
+MALFORMED = {
+    "fir_taps_null": {**BASIC, "filter": {"type": "fir", "taps": [None]}},
+    "fir_taps_str": {**BASIC, "filter": {"type": "fir", "taps": ["a"]}},
+    "estimators_int": {**BASIC, "estimators": 5},
+    "snr_list_int": {**BASIC, "snr_list_db": 5},
+    "snr_list_str": {**BASIC, "snr_list_db": ["a"]},
+    "snr_db_str": {**_without(BASIC, "noise_power"), "snr_db": "x"},
+    "nested_n1_str": {**BASIC, "pattern": {"family": "nested", "N1": "a", "N2": 3}},
+    "k_level_levels_int": {**BASIC, "pattern": {"family": "k_level", "levels": 3}},
+    "P_bool": {**BASIC, "P": True},
+    "Q_bool": {**BASIC, "Q": True},
+    "trials_bool": {**BASIC, "trials": True},
+    "model_order_bool": {**BASIC, "model_order": True},
+    "seed_bool": {**BASIC, "seed": True},
+    "filter_order_bool": {
+        **BASIC,
+        "filter": {"type": "butterworth_highpass", "cutoff": 0.1, "order": True},
+    },
+    "frame_duration_2": {
+        **_without(BASIC, "tones"),
+        "profile": {**PROFILE_DOC, "frame_duration_cpis": 2},
+    },
+    "clutter_without_db": {
+        **_without(BASIC, "tones"),
+        "profile": {"frames": [{"tones": [[0.1, 1.0]], "clutter_frequency": 0.01}]},
+    },
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_value_is_config_error(tmp_path, capsys, doc):
+    cfg = write_config(tmp_path, doc)
+    rc = main(["spectrogram", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 class TestSpectrogramCommand:

@@ -144,7 +144,7 @@ class TestLagAverage:
         ids=["nested", "super_nested", "coprime"],
     )
     def test_bincount_matches_loop_reference(self, pat):
-        # the per-lag loop over index sets that lag_average replaced
+        # the per-lag loop over the positions of each lag that lag_average replaced
         n = pat.n_transmissions
         p = pat.window_size
         rng = np.random.default_rng(n)
@@ -153,7 +153,7 @@ class TestLagAverage:
         ds = difference_set(pat)
         r_vec = m.flatten(order="F")
         ref = np.array(
-            [r_vec[list(ds.index_sets[lag])].mean() for lag in range(-(p - 1), p)]
+            [r_vec[ds.position_lags == lag].mean() for lag in range(-(p - 1), p)]
         )
         z = lag_average(CovarianceEstimate(matrix=m, q_used=1, mean_removed=False), ds)
         np.testing.assert_allclose(z.values, ref, rtol=0, atol=1e-12)

@@ -219,20 +219,22 @@ class TestDifferenceSet:
             assert ds.multiplicity[lag] == ds.multiplicity[-lag]
 
     def test_index_sets_partition(self):
+        # the index set of a lag: the column-stacked positions that hold it
         pat = build_nested(4, 3)
         ds = difference_set(pat)
         n = pat.n_transmissions
-        all_indices = sorted(i for idx in ds.index_sets.values() for i in idx)
+        index_sets = {l: np.flatnonzero(ds.position_lags == l) for l in ds.unique_lags}
+        all_indices = sorted(i for idx in index_sets.values() for i in idx.tolist())
         assert all_indices == list(range(n * n))
+        assert {l: len(idx) for l, idx in index_sets.items()} == ds.multiplicity
 
     def test_index_sets_point_at_right_lags(self):
         pat = build_nested(3, 2)
         ds = difference_set(pat)
         n = pat.n_transmissions
-        for lag, indices in ds.index_sets.items():
-            for i in indices:
-                a, b = i % n, i // n
-                assert pat.slots[a] - pat.slots[b] == lag
+        for i, lag in enumerate(ds.position_lags.tolist()):
+            a, b = i % n, i // n
+            assert pat.slots[a] - pat.slots[b] == lag
 
     @pytest.mark.parametrize(
         "pat",
@@ -240,7 +242,7 @@ class TestDifferenceSet:
         ids=["nested", "super_nested", "coprime"],
     )
     def test_matches_loop_reference(self, pat):
-        # the pair loop that built the index sets before they were vectorized
+        # the pair loop that built the per-lag positions before they were vectorized
         slots, n = pat.slots, pat.n_transmissions
         ref: dict[int, list[int]] = {}
         for b in range(n):
@@ -248,7 +250,9 @@ class TestDifferenceSet:
                 ref.setdefault(slots[a] - slots[b], []).append(a + b * n)
         ds = difference_set(pat)
         assert ds.unique_lags == tuple(sorted(ref))
-        assert ds.index_sets == {l: tuple(v) for l, v in ref.items()}
+        assert {
+            l: np.flatnonzero(ds.position_lags == l).tolist() for l in ds.unique_lags
+        } == ref
         assert ds.multiplicity == {l: len(v) for l, v in ref.items()}
 
     def test_position_lags_invert_index_sets(self):
@@ -256,8 +260,9 @@ class TestDifferenceSet:
         ds = difference_set(pat)
         n = pat.n_transmissions
         assert ds.position_lags.shape == (n * n,)
-        for lag, indices in ds.index_sets.items():
-            np.testing.assert_array_equal(ds.position_lags[list(indices)], lag)
+        for lag, count in ds.multiplicity.items():
+            assert np.count_nonzero(ds.position_lags == lag) == count
+        assert sum(ds.multiplicity.values()) == n * n
         assert not ds.position_lags.flags.writeable
 
 
@@ -271,6 +276,19 @@ class TestContiguousCoarray:
 
     def test_standard_true(self):
         assert verify_contiguous_coarray(build_standard(16))
+
+    @pytest.mark.parametrize(
+        "pat",
+        [build_nested(4, 3), build_klevel(KLevelParams((1, 1, 3))), build_coprime(3, 7)],
+        ids=["nested", "k_level_holes", "coprime"],
+    )
+    def test_missing_lags_matches_loop_reference(self, pat):
+        # co-prime slots reach past the window; lags outside it do not count
+        p = pat.window_size
+        present = {a - b for a in pat.slots for b in pat.slots}
+        ref = [l for l in range(-(p - 1), p) if l not in present]
+        assert difference_set(pat).missing_lags() == ref
+        assert bool(ref) == (pat.family is Family.K_LEVEL)
 
     def test_cardinality_and_range(self):
         for n1, n2 in itertools.product(range(1, 12), range(1, 12)):

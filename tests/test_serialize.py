@@ -9,7 +9,6 @@ from nestdop.patterns import build_coprime, build_nested, build_standard
 from nestdop.serialize import (
     read_snapshots,
     write_coarray_csv,
-    write_coarray_json,
     write_lines_csv,
     write_lines_json,
     write_pgm,
@@ -91,15 +90,6 @@ class TestCsvWriters:
 
 
 class TestJsonWriters:
-    def test_coarray_json(self, tmp_path):
-        z = CoarraySignal(2, np.array([1 - 1j, 2 + 0j, 1 + 1j]))
-        path = tmp_path / "z.json"
-        write_coarray_json(z, path)
-        doc = json.loads(path.read_text())
-        assert doc["P"] == 2
-        assert doc["lags"] == [-1, 0, 1]
-        assert doc["re"] == [1.0, 2.0, 1.0]
-
     def test_spectrum_json(self, tmp_path):
         spec = GridSpectrum(np.array([1.0, 0.5]), np.array([0.0, 0.5]))
         path = tmp_path / "p.json"

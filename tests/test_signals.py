@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,18 @@ class TestPulsatile:
                 FrameSpec(tones=ToneSet(((0.2, 1.0),)), clutter_frequency=0.01, clutter_db=30.0),
                 FrameSpec(tones=ToneSet(((0.25, 1.0), (-0.1, 0.2)))),
             ),
-            frame_duration_cpis=2,
         )
         again = PulsatileProfile.from_json(profile.to_json())
         assert again == profile
+
+    def test_profile_frame_duration_must_be_one(self):
+        profile = PulsatileProfile(frames=(FrameSpec(tones=ToneSet(((0.2, 1.0),))),))
+        doc = json.loads(profile.to_json())
+        again = PulsatileProfile.from_json(json.dumps({**doc, "frame_duration_cpis": 1}))
+        assert again == profile
+        with pytest.raises(ValueError, match="frame_duration_cpis"):
+            PulsatileProfile.from_json(json.dumps({**doc, "frame_duration_cpis": 2}))
+
+    def test_clutter_frequency_needs_clutter_db(self):
+        with pytest.raises(ValueError, match="clutter_db"):
+            FrameSpec(tones=ToneSet(((0.2, 1.0),)), clutter_frequency=0.01)
