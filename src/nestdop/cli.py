@@ -31,6 +31,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# estimate's writers per --format and spectrum type
+SPECTRUM_WRITERS = {
+    "csv": {LineSpectrum: write_lines_csv, GridSpectrum: write_spectrum_csv},
+    "json": {LineSpectrum: write_lines_json, GridSpectrum: write_spectrum_json},
+}
+# the subcommands that write a choice of formats
+FORMATS = {"estimate": tuple(SPECTRUM_WRITERS), "spectrogram": ("csv", "pgm")}
+
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=Path, required=True, help="JSON config file")
@@ -48,12 +56,6 @@ def _add_common(parser: argparse.ArgumentParser):
         help="restrict to one estimator (repeatable)",
     )
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json", "pgm"),
-        default="csv",
-        help="primary output format",
-    )
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -68,19 +70,6 @@ def _load_config(args) -> ExperimentConfig:
     )
 
 
-def _write_spectrum(spec, stem: Path, fmt: str):
-    if isinstance(spec, LineSpectrum):
-        if fmt == "json":
-            write_lines_json(spec, stem.with_suffix(".json"))
-        else:
-            write_lines_csv(spec, stem.with_suffix(".csv"))
-        return
-    if fmt == "json":
-        write_spectrum_json(spec, stem.with_suffix(".json"))
-    else:
-        write_spectrum_csv(spec, stem.with_suffix(".csv"))
-
-
 def cmd_design(args) -> int:
     p = args.P
     doc = {"family": args.family}
@@ -88,7 +77,7 @@ def cmd_design(args) -> int:
         if value is not None:
             doc[key] = value
     docs = [doc]
-    if args.family == "nested" and args.n1 is None:
+    if doc == {"family": "nested"}:
         # both optimal variants; they coincide when P is a perfect square
         prefs = ("fewer_larger_gaps", "more_smaller_gaps")
         docs = [{**doc, "preference": pref} for pref in prefs]
@@ -134,8 +123,7 @@ def cmd_simulate(args) -> int:
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_snapshots(snaps, args.out_dir / "snapshots.bin")
-    if args.format == "csv":
-        write_snapshots_csv(snaps, args.out_dir / "snapshots.csv")
+    write_snapshots_csv(snaps, args.out_dir / "snapshots.csv")
     print(
         f"wrote {snaps.n_snapshots} snapshots x {pattern.n_transmissions} emissions "
         f"to {args.out_dir}"
@@ -150,7 +138,8 @@ def cmd_estimate(args) -> int:
     if result["coarray"] is not None:
         write_coarray_csv(result["coarray"], args.out_dir / "coarray.csv")
     for name, spec in result["spectra"].items():
-        _write_spectrum(spec, args.out_dir / f"{name}_spectrum", args.format)
+        write = SPECTRUM_WRITERS[args.format][type(spec)]
+        write(spec, args.out_dir / f"{name}_spectrum.{args.format}")
         if isinstance(spec, GridSpectrum):
             print(f"{name}: peak at nu={spec.peak_frequency():+.4f}")
         else:
@@ -231,6 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         _add_common(p)
+        if name in FORMATS:
+            p.add_argument("--format", choices=FORMATS[name], default="csv", help="output format")
         p.set_defaults(func=func)
     return parser
 

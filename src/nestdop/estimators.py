@@ -274,9 +274,6 @@ def zero_fill(snapshots_data: np.ndarray, slots, p: int) -> np.ndarray:
     q = snapshots_data.shape[0]
     full = np.zeros((q, p), dtype=complex)
     cols = np.asarray(slots, dtype=int) - 1
-    if np.any(cols >= p):
-        keep = cols < p  # co-prime slots beyond the window are dropped
-        full[:, cols[keep]] = snapshots_data[:, keep]
-    else:
-        full[:, cols] = snapshots_data
+    keep = cols < p  # co-prime slots beyond the window are dropped
+    full[:, cols[keep]] = snapshots_data[:, keep]
     return full

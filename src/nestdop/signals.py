@@ -78,8 +78,8 @@ class FrameSpec:
     clutter_db: float | None = None
 
     def __post_init__(self):
-        if self.clutter_frequency is not None and self.clutter_db is None:
-            raise ValueError("clutter frequency given without clutter_db")
+        if (self.clutter_frequency is None) != (self.clutter_db is None):
+            raise ValueError("clutter_frequency and clutter_db go together")
 
     def effective_tones(self) -> ToneSet:
         if self.clutter_frequency is None:
@@ -111,22 +111,6 @@ class PulsatileProfile:
                 ],
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PulsatileProfile":
-        doc = json.loads(text)
-        frames = tuple(
-            FrameSpec(
-                tones=ToneSet(tuple((float(nu), float(p)) for nu, p in f["tones"])),
-                clutter_frequency=f.get("clutter_frequency"),
-                clutter_db=f.get("clutter_db"),
-            )
-            for f in doc["frames"]
-        )
-        # older documents carry "frame_duration_cpis": 1
-        if doc.get("frame_duration_cpis", 1) != 1:
-            raise ValueError("frame_duration_cpis must be 1: each frame is one CPI")
-        return cls(frames=frames)
 
 
 def steering_matrix(tones: ToneSet, pattern: EmissionPattern) -> np.ndarray:

@@ -1,10 +1,18 @@
+import importlib.util
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nestdop import config
 from nestdop.cli import main
 from nestdop.config import CONFIG_KEYS, ConfigError, ExperimentConfig, pattern_from_doc
+from nestdop.patterns import Family
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -51,16 +59,128 @@ KNOBS = {
 }
 
 
+def _pattern(p, **pattern):
+    return {"P": p, "pattern": pattern}
+
+
+def _frame(**frame):
+    return {"P": 12, "profile": {"frames": [{"tones": [[0.1, 1.0]], **frame}]}}
+
+
+BUTTERWORTH = {"type": "butterworth_highpass", "cutoff": 0.1}
+CLUTTER = {"clutter_frequency": 0.01, "clutter_db": 10.0}
+
+# two valid configs that differ in one key of a nested table, as
+# "<document>[.<family or type>].<key>": (base, variant). At a fixed window
+# N1 and N2 can only change together, and "type" changes the filter's table.
+NESTED_KNOBS = {
+    "pattern.family": (_pattern(12, family="standard"), _pattern(12, family="k_level")),
+    "pattern.nested.N1": (
+        _pattern(12, family="nested", N1=3, N2=3),
+        _pattern(12, family="nested", N1=5, N2=2),
+    ),
+    "pattern.nested.N2": (
+        _pattern(12, family="nested", N1=3, N2=3),
+        _pattern(12, family="nested", N1=2, N2=4),
+    ),
+    "pattern.nested.preference": (
+        _pattern(128, family="nested", preference="fewer_larger_gaps"),
+        _pattern(128, family="nested", preference="more_smaller_gaps"),
+    ),
+    "pattern.super_nested.N1": (
+        _pattern(30, family="super_nested", N1=5, N2=5),
+        _pattern(30, family="super_nested", N1=9, N2=3),
+    ),
+    "pattern.super_nested.N2": (
+        _pattern(30, family="super_nested", N1=5, N2=5),
+        _pattern(30, family="super_nested", N1=4, N2=6),
+    ),
+    "pattern.coprime.N1": (
+        _pattern(31, family="coprime", N1=3, N2=10),
+        _pattern(31, family="coprime", N1=5, N2=6),
+    ),
+    "pattern.coprime.N2": (
+        _pattern(31, family="coprime", N1=3, N2=10),
+        _pattern(31, family="coprime", N1=2, N2=15),
+    ),
+    "pattern.k_level.levels": (
+        _pattern(12, family="k_level", levels=[1, 1, 3]),
+        _pattern(12, family="k_level", levels=[2, 4]),
+    ),
+    "filter.type": (
+        {"P": 12, "filter": {"type": "fir", "taps": [1.0, -1.0]}},
+        {"P": 12, "filter": BUTTERWORTH},
+    ),
+    "filter.butterworth_highpass.cutoff": (
+        {"P": 12, "filter": BUTTERWORTH},
+        {"P": 12, "filter": {**BUTTERWORTH, "cutoff": 0.2}},
+    ),
+    "filter.butterworth_highpass.order": (
+        {"P": 12, "filter": BUTTERWORTH},
+        {"P": 12, "filter": {**BUTTERWORTH, "order": 2}},
+    ),
+    "filter.fir.taps": (
+        {"P": 12, "filter": {"type": "fir", "taps": [1.0, -1.0]}},
+        {"P": 12, "filter": {"type": "fir", "taps": [1.0, -0.5]}},
+    ),
+    "physical.f0_hz": (
+        {"P": 12, "physical": PHYSICAL},
+        {"P": 12, "physical": {**PHYSICAL, "f0_hz": 3e6}},
+    ),
+    "physical.fprf_hz": (
+        {"P": 12, "physical": PHYSICAL},
+        {"P": 12, "physical": {**PHYSICAL, "fprf_hz": 4000.0}},
+    ),
+    "physical.c_m_s": (
+        {"P": 12, "physical": PHYSICAL},
+        {"P": 12, "physical": {**PHYSICAL, "c_m_s": 1500.0}},
+    ),
+    "profile.frames": (_frame(), {"P": 12, "profile": {"frames": [{"tones": [[0.2, 1.0]]}] * 2}}),
+    "frame.tones": (_frame(), _frame(tones=[[0.2, 1.0]])),
+    "frame.clutter_frequency": (
+        _frame(**CLUTTER),
+        _frame(**{**CLUTTER, "clutter_frequency": 0.02}),
+    ),
+    "frame.clutter_db": (_frame(**CLUTTER), _frame(**{**CLUTTER, "clutter_db": 20.0})),
+}
+# keys that assert a value and select nothing; MALFORMED covers their other values
+UNSELECTIVE = {"pattern.nested.optimal", "profile.frame_duration_cpis"}
+
+
+def _nested_keys():
+    """Every key of every nested table, named like the NESTED_KNOBS ids."""
+    tables = {
+        **{f"pattern.{name}": t for name, t in config.PATTERN_SCHEMA.items()},
+        **{f"filter.{name}": t for name, t in config.FILTER_SCHEMA.items()},
+        "physical": config.PHYSICAL_SCHEMA,
+        "profile": config.PROFILE_SCHEMA,
+        "frame": config.FRAME_SCHEMA,
+    }
+    keys = {f"{doc}.{key}" for doc, table in tables.items() for key in table}
+    return keys | {"pattern.family", "filter.type"}
+
+
+def _resolved(doc):
+    # the config with its pattern built: pattern_doc alone differs for any edit
+    cfg = ExperimentConfig.from_doc(doc)
+    return replace(cfg, pattern_doc=None), cfg.build_pattern()
+
+
 class TestConfig:
     def test_knob_table_covers_every_key(self):
         assert set(KNOBS) == set(CONFIG_KEYS)
+        assert set(NESTED_KNOBS) | UNSELECTIVE == _nested_keys()
+        assert set(config.PATTERN_SCHEMA) == {f.value for f in Family}
 
-    @pytest.mark.parametrize("key", sorted(KNOBS))
+    @pytest.mark.parametrize("key", sorted(KNOBS) + sorted(NESTED_KNOBS))
     def test_every_key_changes_the_config(self, key):
         # a key that is parsed and then dropped leaves the config unchanged
-        context, value = KNOBS[key]
-        base = ExperimentConfig.from_doc({"P": 12, **context})
-        assert ExperimentConfig.from_doc({"P": 12, **context, key: value}) != base
+        if key in KNOBS:
+            context, value = KNOBS[key]
+            base, variant = {"P": 12, **context}, {"P": 12, **context, key: value}
+        else:
+            base, variant = NESTED_KNOBS[key]
+        assert _resolved(variant) != _resolved(base)
 
     def test_basic_round(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, BASIC))
@@ -96,7 +216,6 @@ class TestConfig:
             }
         )
         # nu = -2 v f0 / (c fprf) = -2*0.154*5e6/(1540*2000)
-        assert cfg.tones.tones[0][0] == pytest.approx(-0.5, abs=1e-9) or True
         nu = cfg.tones.tones[0][0]
         assert nu == pytest.approx(-2 * 0.154 * 5e6 / (1540.0 * 2000.0))
 
@@ -171,6 +290,22 @@ class TestDesign:
         argv = ["design", "9", "--family", "k_level", "--levels", "2", "3"]
         assert main([*argv, "--out-dir", str(tmp_path)]) == 0
         assert "savings=44.4%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["256", "--n2", "5"],
+            ["12", "--family", "k_level", "--n1", "3"],
+            ["16", "--family", "standard", "--levels", "2"],
+        ],
+        ids=["nested_n2_alone", "k_level_n1", "standard_levels"],
+    )
+    def test_params_the_family_does_not_read(self, tmp_path, capsys, argv):
+        assert main(["design", *argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+        assert "N1: required" in err or "unknown keys" in err
+        assert not (tmp_path / "design.json").exists()
 
     def test_preference_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -311,43 +446,174 @@ def _without(doc, *keys):
     return {k: v for k, v in doc.items() if k not in keys}
 
 
+FRAME = {"tones": [[0.1, 1.0]]}
+
+# malformed configs, each with the start of its error line after "config error: "
 MALFORMED = {
-    "fir_taps_null": {**BASIC, "filter": {"type": "fir", "taps": [None]}},
-    "fir_taps_str": {**BASIC, "filter": {"type": "fir", "taps": ["a"]}},
-    "estimators_int": {**BASIC, "estimators": 5},
-    "snr_list_int": {**BASIC, "snr_list_db": 5},
-    "snr_list_str": {**BASIC, "snr_list_db": ["a"]},
-    "snr_db_str": {**_without(BASIC, "noise_power"), "snr_db": "x"},
-    "nested_n1_str": {**BASIC, "pattern": {"family": "nested", "N1": "a", "N2": 3}},
-    "k_level_levels_int": {**BASIC, "pattern": {"family": "k_level", "levels": 3}},
-    "P_bool": {**BASIC, "P": True},
-    "Q_bool": {**BASIC, "Q": True},
-    "trials_bool": {**BASIC, "trials": True},
-    "model_order_bool": {**BASIC, "model_order": True},
-    "seed_bool": {**BASIC, "seed": True},
-    "filter_order_bool": {
-        **BASIC,
-        "filter": {"type": "butterworth_highpass", "cutoff": 0.1, "order": True},
-    },
-    "frame_duration_2": {
-        **_without(BASIC, "tones"),
-        "profile": {**PROFILE_DOC, "frame_duration_cpis": 2},
-    },
-    "clutter_without_db": {
-        **_without(BASIC, "tones"),
-        "profile": {"frames": [{"tones": [[0.1, 1.0]], "clutter_frequency": 0.01}]},
-    },
+    "fir_taps_null": ({**BASIC, "filter": {"type": "fir", "taps": [None]}}, "filter.taps[0]:"),
+    "fir_taps_str": ({**BASIC, "filter": {"type": "fir", "taps": ["a"]}}, "filter.taps[0]:"),
+    "estimators_int": ({**BASIC, "estimators": 5}, "estimators:"),
+    "estimators_duplicate": ({**BASIC, "estimators": ["nest", "nest"]}, "estimators:"),
+    "snr_list_int": ({**BASIC, "snr_list_db": 5}, "snr_list_db:"),
+    "snr_list_str": ({**BASIC, "snr_list_db": ["a"]}, "snr_list_db[0]:"),
+    "snr_db_str": ({**_without(BASIC, "noise_power"), "snr_db": "x"}, "snr_db:"),
+    "nested_n1_str": (
+        {**BASIC, "pattern": {"family": "nested", "N1": "a", "N2": 3}},
+        "pattern.N1:",
+    ),
+    "nested_n1_bool": (
+        {**BASIC, "pattern": {"family": "nested", "N1": True, "N2": 6}},
+        "pattern.N1:",
+    ),
+    "optimal_with_params": (
+        {**BASIC, "pattern": {"family": "nested", "optimal": True, "N1": 3, "N2": 3}},
+        "pattern.optimal:",
+    ),
+    "not_optimal_without_params": (
+        {**BASIC, "pattern": {"family": "nested", "optimal": False}},
+        "pattern.N1:",
+    ),
+    "preference_with_params": (
+        {
+            **BASIC,
+            "pattern": {"family": "nested", "N1": 3, "N2": 3, "preference": "more_smaller_gaps"},
+        },
+        "pattern.preference:",
+    ),
+    "pattern_unknown_key": (
+        {**BASIC, "pattern": {"family": "standard", "N1": 99, "bogus": 1}},
+        "pattern: unknown keys ['N1', 'bogus']",
+    ),
+    "k_level_levels_int": (
+        {**BASIC, "pattern": {"family": "k_level", "levels": 3}},
+        "pattern.levels:",
+    ),
+    "P_bool": ({**BASIC, "P": True}, "P:"),
+    "Q_bool": ({**BASIC, "Q": True}, "Q:"),
+    "trials_bool": ({**BASIC, "trials": True}, "trials:"),
+    "model_order_bool": ({**BASIC, "model_order": True}, "model_order:"),
+    "seed_bool": ({**BASIC, "seed": True}, "seed:"),
+    "subtract_noise_str": (
+        {**BASIC, "subtract_noise": "false"},
+        "subtract_noise: expected true or false",
+    ),
+    "remove_mean_str": ({**BASIC, "remove_mean": "no"}, "remove_mean:"),
+    "filter_order_bool": (
+        {**BASIC, "filter": {"type": "butterworth_highpass", "cutoff": 0.1, "order": True}},
+        "filter.order:",
+    ),
+    "filter_unknown_key": (
+        {**BASIC, "filter": {"type": "butterworth_highpass", "cutoff": 0.1, "ordr": 2}},
+        "filter: unknown keys ['ordr']",
+    ),
+    "physical_unknown_key": (
+        {**BASIC, "physical": {**PHYSICAL, "c": 1500}},
+        "physical: unknown keys ['c']",
+    ),
+    "profile_unknown_key": (
+        {**_without(BASIC, "tones"), "profile": {**PROFILE_DOC, "frame_count": 3}},
+        "profile: unknown keys ['frame_count']",
+    ),
+    "frame_duration_2": (
+        {**_without(BASIC, "tones"), "profile": {**PROFILE_DOC, "frame_duration_cpis": 2}},
+        "profile.frame_duration_cpis:",
+    ),
+    "frame_duration_true": (
+        {**_without(BASIC, "tones"), "profile": {**PROFILE_DOC, "frame_duration_cpis": True}},
+        "profile.frame_duration_cpis:",
+    ),
+    "frame_unknown_key": (
+        {
+            **_without(BASIC, "tones"),
+            "profile": {"frames": [{**FRAME, "clutter_freq": 0.01, "clutter_db": 10}]},
+        },
+        "profile.frames[0]: unknown keys ['clutter_freq']",
+    ),
+    "clutter_without_db": (
+        {
+            **_without(BASIC, "tones"),
+            "profile": {"frames": [{**FRAME, "clutter_frequency": 0.01}]},
+        },
+        "profile.frames[0]:",
+    ),
+    "clutter_frequency_out_of_range": (
+        {
+            **_without(BASIC, "tones"),
+            "profile": {"frames": [{**FRAME, "clutter_frequency": 0.7, "clutter_db": 10}]},
+        },
+        "profile.frames[0].clutter_frequency:",
+    ),
+    "clutter_db_without_frequency": (
+        {**_without(BASIC, "tones"), "profile": {"frames": [FRAME, {**FRAME, "clutter_db": 10}]}},
+        "profile.frames[1]:",
+    ),
 }
 
 
-@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_value_is_config_error(tmp_path, capsys, doc):
+@pytest.mark.parametrize("doc,where", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_value_is_config_error(tmp_path, capsys, doc, where):
     cfg = write_config(tmp_path, doc)
     rc = main(["spectrogram", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("config error: ") and "Traceback" not in err
+    assert err.startswith(f"config error: {where}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--format", "pgm"],
+        ["spectrogram", "--format", "json"],
+        ["simulate", "--format", "json"],
+        ["mse", "--format", "json"],
+        ["compare", "--format", "pgm"],
+    ],
+    ids=lambda argv: f"{argv[0]}_{argv[2]}",
+)
+def test_format_only_where_read(tmp_path, argv):
+    cfg = write_config(tmp_path, BASIC)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def _load_workloads():
+    # load the benchmark's workloads read-only, without importing perfbench as a package
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_configs_parse(tmp_path, seed):
+    workloads = _load_workloads()
+    paths = []
+    streams = (
+        workloads.spectrogram_rounds(seed, tmp_path),
+        workloads.mse_rounds(seed, tmp_path),
+        workloads.cli_rounds(seed, tmp_path, None),
+    )
+    for ops in (next(stream) for stream in streams for _ in range(2)):
+        for op in ops:
+            op.prepare()
+            if isinstance(op, workloads.CliOp):
+                paths += [Path(a) for a, flag in zip(op.args[1:], op.args) if flag == "--config"]
+            else:
+                paths.append(op.path)
+    assert len(paths) == 2 * (1 + 1 + 3)  # compare; mse; simulate, estimate, spectrogram
+    for path in paths:
+        ExperimentConfig.from_file(path).build_pattern()
+
+
+def test_readme_configs_parse():
+    blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        ExperimentConfig.from_doc(json.loads(block)).build_pattern()
 
 
 class TestSpectrogramCommand:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nestdop.config import ConfigError, ExperimentConfig
 from nestdop.patterns import build_nested, build_standard
 from nestdop.signals import (
     FrameSpec,
@@ -142,17 +143,21 @@ class TestPulsatile:
                 FrameSpec(tones=ToneSet(((0.25, 1.0), (-0.1, 0.2)))),
             ),
         )
-        again = PulsatileProfile.from_json(profile.to_json())
-        assert again == profile
+        doc = {"P": 12, "profile": json.loads(profile.to_json())}
+        assert ExperimentConfig.from_doc(doc).profile == profile
 
     def test_profile_frame_duration_must_be_one(self):
         profile = PulsatileProfile(frames=(FrameSpec(tones=ToneSet(((0.2, 1.0),))),))
         doc = json.loads(profile.to_json())
-        again = PulsatileProfile.from_json(json.dumps({**doc, "frame_duration_cpis": 1}))
+        again = ExperimentConfig.from_doc(
+            {"P": 12, "profile": {**doc, "frame_duration_cpis": 1}}
+        ).profile
         assert again == profile
-        with pytest.raises(ValueError, match="frame_duration_cpis"):
-            PulsatileProfile.from_json(json.dumps({**doc, "frame_duration_cpis": 2}))
+        with pytest.raises(ConfigError, match="frame_duration_cpis"):
+            ExperimentConfig.from_doc({"P": 12, "profile": {**doc, "frame_duration_cpis": 2}})
 
     def test_clutter_frequency_needs_clutter_db(self):
         with pytest.raises(ValueError, match="clutter_db"):
             FrameSpec(tones=ToneSet(((0.2, 1.0),)), clutter_frequency=0.01)
+        with pytest.raises(ValueError, match="clutter_frequency"):
+            FrameSpec(tones=ToneSet(((0.2, 1.0),)), clutter_db=10.0)
