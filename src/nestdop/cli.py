@@ -116,16 +116,15 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     if cfg.tones is None:
-        raise ConfigError("simulate needs a 'tones' entry in the config")
-    pattern = cfg.build_pattern()
+        raise EstimationError("simulate needs a 'tones' entry in the config")
     snaps = generate_snapshots(
-        cfg.tones, pattern, cfg.q, noise_power=cfg.noise_power, rng_seed=cfg.seed
+        cfg.tones, cfg.pattern, cfg.q, noise_power=cfg.noise_power, rng_seed=cfg.seed
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_snapshots(snaps, args.out_dir / "snapshots.bin")
     write_snapshots_csv(snaps, args.out_dir / "snapshots.csv")
     print(
-        f"wrote {snaps.n_snapshots} snapshots x {pattern.n_transmissions} emissions "
+        f"wrote {snaps.n_snapshots} snapshots x {cfg.pattern.n_transmissions} emissions "
         f"to {args.out_dir}"
     )
     return EXIT_OK

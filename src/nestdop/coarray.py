@@ -151,17 +151,16 @@ def filter_autocorrelation(h, length: int | None = None) -> np.ndarray:
     return signal.fftconvolve(hh, np.conj(hh[::-1]))
 
 
-def clutter_filter(z: CoarraySignal, h, ir_length: int | None = None) -> CoarraySignal:
+def clutter_filter(z: CoarraySignal, h) -> CoarraySignal:
     """Apply a filter in the correlation domain: z conv h conv conj(h[-n]).
 
     Equivalent to filtering the (unobservable) uniform slow-time signal
-    with ``h`` and re-estimating its autocorrelation. Linear convolution
-    (by FFT) with central truncation back to 2P-1 lags.
+    with ``h`` and re-estimating its autocorrelation. An IIR (b, a) pair is
+    evaluated to 4P impulse-response taps. Linear convolution (by FFT) with
+    central truncation back to 2P-1 lags.
     """
     p = z.window_size
-    if ir_length is None:
-        ir_length = 4 * p
-    g = filter_autocorrelation(h, length=ir_length)
+    g = filter_autocorrelation(h, length=4 * p)
     full = signal.fftconvolve(z.values, g)
     center = (len(full) - 1) // 2
     return z.with_values(full[center - (p - 1) : center + p])

@@ -1,14 +1,18 @@
 """Experiment harnesses: single-CPI estimation, spectrograms, MSE sweeps.
 
-Every CPI goes through one path, :func:`estimate_cpi`: sample covariance ->
+Every CPI goes through one path, :func:`estimate_cpis`: sample covariance ->
 lag averaging -> optional clutter filter and apodization -> each configured
-estimator. All runs are deterministic given a config and seed: per-frame and
-per-trial RNG streams are spawned from one root seed.
+estimator. The run constants (difference set, filter design, window) are
+built once per call, not once per CPI. All runs are deterministic given a
+config and seed: per-frame and per-trial RNG streams are spawned from one
+root seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +28,7 @@ from .estimators import (
     welch,
     zero_fill,
 )
-from .patterns import DifferenceSet, build_standard, difference_set
+from .patterns import build_standard, difference_set
 from .signals import (
     FrameSpec,
     PulsatileProfile,
@@ -34,20 +38,6 @@ from .signals import (
     generate_snapshots,
 )
 from .spectrogram import Spectrogram, out_of_support_ratio, ridge_bin_errors
-
-
-def sparse_coarray(
-    snapshots: SlowTimeSnapshots, cfg: ExperimentConfig, diffs: DifferenceSet
-) -> CoarraySignal:
-    """Covariance -> lag averaging -> optional clutter filter and apodization."""
-    cov = estimate_covariance(snapshots, remove_mean=cfg.remove_mean)
-    z = lag_average(cov, diffs)
-    if cfg.filter_spec is not None:
-        z = clutter_filter(z, cfg.filter_spec.coefficients())
-    window = cfg.apodization_window()
-    if window is not None:
-        z = apodize(z, window)
-    return z
 
 
 def _welch_input(snapshots: SlowTimeSnapshots, cfg: ExperimentConfig) -> np.ndarray:
@@ -65,58 +55,72 @@ def _welch_input(snapshots: SlowTimeSnapshots, cfg: ExperimentConfig) -> np.ndar
     )
 
 
-def estimate_cpi(
-    snapshots: SlowTimeSnapshots, cfg: ExperimentConfig, diffs: DifferenceSet
-) -> tuple[CoarraySignal | None, dict[str, GridSpectrum | LineSpectrum]]:
-    """Every estimator in ``cfg.estimators`` on one CPI.
+def estimate_cpis(
+    cpis: Iterable[SlowTimeSnapshots], cfg: ExperimentConfig
+) -> Iterator[tuple[CoarraySignal | None, dict[str, GridSpectrum | LineSpectrum]]]:
+    """Every estimator in ``cfg.estimators`` on each CPI, in order.
 
-    The coarray is built once and shared by ``nest`` and ``nesprit``; it is
-    None when only Welch runs. ``diffs`` is the pattern's difference set.
+    Every CPI must be sampled on ``cfg.pattern``: its difference set, the
+    filter design and the apodization window are built once, before the
+    first CPI. Each CPI's coarray is built once and shared by ``nest`` and
+    ``nesprit``; it is None when only Welch runs.
     """
-    z = None
-    if any(name != "welch" for name in cfg.estimators):
-        z = sparse_coarray(snapshots, cfg, diffs)
-    spectra = {}
-    for name in cfg.estimators:
-        if name == "welch":
-            spectra[name] = welch(_welch_input(snapshots, cfg))
-        elif name == "nest":
-            spectra[name] = nest(z, cfg.nest_lambda)
-        elif name == "nesprit":
-            spectra[name] = nesprit(
-                z,
-                cfg.rank_lambda,
-                model_order=cfg.model_order,
-                subtract_noise=cfg.subtract_noise,
+    diffs = difference_set(cfg.pattern)
+    h = None if cfg.filter_spec is None else cfg.filter_spec.coefficients()
+    window = cfg.apodization_window()
+    needs_coarray = any(name != "welch" for name in cfg.estimators)
+    for snapshots in cpis:
+        if snapshots.pattern != cfg.pattern:
+            raise EstimationError(
+                f"CPI sampled on slots {snapshots.pattern.slots}, "
+                f"but the config's pattern has slots {cfg.pattern.slots}"
             )
-        else:
-            raise EstimationError(f"unknown estimator {name!r}")
-    return z, spectra
+        z = None
+        if needs_coarray:
+            z = lag_average(estimate_covariance(snapshots, remove_mean=cfg.remove_mean), diffs)
+            if h is not None:
+                z = clutter_filter(z, h)
+            if window is not None:
+                z = apodize(z, window)
+        spectra = {}
+        for name in cfg.estimators:
+            if name == "welch":
+                spectra[name] = welch(_welch_input(snapshots, cfg))
+            elif name == "nest":
+                spectra[name] = nest(z, cfg.nest_lambda)
+            elif name == "nesprit":
+                spectra[name] = nesprit(
+                    z,
+                    cfg.rank_lambda,
+                    model_order=cfg.model_order,
+                    subtract_noise=cfg.subtract_noise,
+                )
+            else:
+                raise EstimationError(f"unknown estimator {name!r}")
+        yield z, spectra
 
 
 def run_estimate(cfg: ExperimentConfig) -> dict:
     """Single-CPI pipeline for every configured estimator."""
     if cfg.tones is None:
         raise EstimationError("estimate needs a 'tones' entry in the config")
-    pattern = cfg.build_pattern()
     snapshots = generate_snapshots(
-        cfg.tones, pattern, cfg.q, noise_power=cfg.noise_power, rng_seed=cfg.seed
+        cfg.tones, cfg.pattern, cfg.q, noise_power=cfg.noise_power, rng_seed=cfg.seed
     )
-    z, spectra = estimate_cpi(snapshots, cfg, difference_set(pattern))
-    return {"pattern": pattern, "coarray": z, "spectra": spectra}
+    [(z, spectra)] = estimate_cpis([snapshots], cfg)
+    return {"coarray": z, "spectra": spectra}
 
 
 def run_spectrogram_frames(
-    frames_data: list[SlowTimeSnapshots], cfg: ExperimentConfig
+    frames_data: Iterable[SlowTimeSnapshots], cfg: ExperimentConfig
 ) -> dict[str, Spectrogram]:
     """One spectrum per CPI frame for every estimator, in frame order.
 
     Line spectra are rasterized onto the dense 2P-1 grid.
     """
-    diffs = difference_set(frames_data[0].pattern)
     frames: dict[str, list] = {name: [] for name in cfg.estimators}
-    for idx, snapshots in enumerate(frames_data):
-        for name, spec in estimate_cpi(snapshots, cfg, diffs)[1].items():
+    for idx, (_, spectra) in enumerate(estimate_cpis(frames_data, cfg)):
+        for name, spec in spectra.items():
             if isinstance(spec, LineSpectrum):
                 spec = spec.rasterize(2 * cfg.window_size - 1)
             frames[name].append((idx, spec))
@@ -126,7 +130,7 @@ def run_spectrogram_frames(
             metadata={
                 "estimator": name,
                 "P": cfg.window_size,
-                "pattern": cfg.pattern_doc,
+                "pattern": {"family": cfg.pattern.family.value, "params": cfg.pattern.params},
                 "filter": None if cfg.filter_spec is None else cfg.filter_spec.kind,
                 "apodization": cfg.apodization,
             },
@@ -138,12 +142,10 @@ def run_spectrogram_frames(
 def run_spectrogram(cfg: ExperimentConfig) -> dict:
     if cfg.profile is None:
         raise EstimationError("spectrogram needs a 'profile' entry in the config")
-    pattern = cfg.build_pattern()
     frames_data = generate_pulsatile(
-        cfg.profile, pattern, cfg.q, noise_power=cfg.noise_power, rng_seed=cfg.seed
+        cfg.profile, cfg.pattern, cfg.q, noise_power=cfg.noise_power, rng_seed=cfg.seed
     )
-    grams = run_spectrogram_frames(frames_data, cfg)
-    return {"pattern": pattern, "spectrograms": grams}
+    return {"spectrograms": run_spectrogram_frames(frames_data, cfg)}
 
 
 def sinusoidal_profile(
@@ -205,46 +207,41 @@ def run_mse(cfg: ExperimentConfig) -> list[MseRow]:
     if not cfg.snr_list_db:
         raise EstimationError("the MSE sweep needs a nonempty snr_list_db")
     true_nu, tone_power = cfg.tones.tones[0]
-    pattern = cfg.build_pattern()
     full = build_standard(cfg.window_size)
-    diffs = difference_set(pattern)
     sparse_cfg = replace(
         cfg, estimators=("nest", "nesprit"), model_order=cfg.model_order or 1
     )
-    root = np.random.SeedSequence(cfg.seed)
-    snr_seeds = root.spawn(len(cfg.snr_list_db))
 
-    rows: list[MseRow] = []
-    for snr_db, snr_seed in zip(cfg.snr_list_db, snr_seeds):
-        noise_power = tone_power / 10.0 ** (snr_db / 10.0)
-        errors = []
-        for seed in snr_seed.spawn(cfg.trials):
-            sparse_seed, full_seed = seed.spawn(2)
-            snaps = generate_snapshots(
-                cfg.tones,
-                pattern,
-                cfg.q,
-                noise_power=noise_power,
-                rng_seed=int(sparse_seed.generate_state(1)[0]),
+    snr_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_list_db))
+    # (SNR index, noise power, sparse seed, full seed) of every trial, in order
+    trials = (
+        (i, tone_power / 10.0 ** (snr_db / 10.0), *seed.spawn(2))
+        for i, (snr_db, snr_seed) in enumerate(zip(cfg.snr_list_db, snr_seeds))
+        for seed in snr_seed.spawn(cfg.trials)
+    )
+
+    def draw(pattern, noise_power, seed):
+        rng_seed = int(seed.generate_state(1)[0])
+        return generate_snapshots(cfg.tones, pattern, cfg.q, noise_power, rng_seed)
+
+    # tee holds one trial: each sparse draw is made when estimate_cpis asks for it
+    info, draws = itertools.tee(trials)
+    sparse = (draw(cfg.pattern, noise, seed) for _, noise, seed, _ in draws)
+    errors: list[list] = [[] for _ in cfg.snr_list_db]
+    for (i, noise, _, full_seed), (_, spectra) in zip(info, estimate_cpis(sparse, sparse_cfg)):
+        full_snaps = draw(full, noise, full_seed)
+        errors[i].append(
+            (
+                _frequency_error(true_nu, spectra["nest"].peak_frequency()),
+                _frequency_error(true_nu, spectra["nesprit"].dominant_frequency()),
+                _frequency_error(true_nu, welch(full_snaps.data).peak_frequency()),
             )
-            spectra = estimate_cpi(snaps, sparse_cfg, diffs)[1]
-            full_snaps = generate_snapshots(
-                cfg.tones,
-                full,
-                cfg.q,
-                noise_power=noise_power,
-                rng_seed=int(full_seed.generate_state(1)[0]),
-            )
-            errors.append(
-                (
-                    _frequency_error(true_nu, spectra["nest"].peak_frequency()),
-                    _frequency_error(true_nu, spectra["nesprit"].dominant_frequency()),
-                    _frequency_error(true_nu, welch(full_snaps.data).peak_frequency()),
-                )
-            )
-        for name, col in zip(("nest", "nesprit", "welch"), np.array(errors).T):
-            rows.append(MseRow(snr_db=snr_db, estimator=name, mse=float(col.mean())))
-    return rows
+        )
+    return [
+        MseRow(snr_db=snr_db, estimator=name, mse=float(col.mean()))
+        for snr_db, snr_errors in zip(cfg.snr_list_db, errors)
+        for name, col in zip(("nest", "nesprit", "welch"), np.array(snr_errors).T)
+    ]
 
 
 def run_compare(cfg: ExperimentConfig, support_halfwidth: float | None = None) -> dict:

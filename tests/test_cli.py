@@ -1,7 +1,9 @@
 import importlib.util
 import json
+import os
 import re
-from dataclasses import replace
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -161,9 +163,8 @@ def _nested_keys():
 
 
 def _resolved(doc):
-    # the config with its pattern built: pattern_doc alone differs for any edit
-    cfg = ExperimentConfig.from_doc(doc)
-    return replace(cfg, pattern_doc=None), cfg.build_pattern()
+    # the config holds the built pattern, not the document that described it
+    return ExperimentConfig.from_doc(doc)
 
 
 class TestConfig:
@@ -404,6 +405,16 @@ class TestEstimateCommand:
         assert rc == 2
         assert "nest_lambda" in capsys.readouterr().err
 
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASIC)
+        rc = main(
+            ["estimate", "--config", str(cfg), "--seed", "-1",
+             "--out-dir", str(tmp_path / "o")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: seed: ")
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, BASIC)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -493,6 +504,7 @@ MALFORMED = {
     "trials_bool": ({**BASIC, "trials": True}, "trials:"),
     "model_order_bool": ({**BASIC, "model_order": True}, "model_order:"),
     "seed_bool": ({**BASIC, "seed": True}, "seed:"),
+    "seed_negative": ({**BASIC, "seed": -1}, "seed: expected an integer >= 0"),
     "subtract_noise_str": (
         {**BASIC, "subtract_noise": "false"},
         "subtract_noise: expected true or false",
@@ -560,6 +572,26 @@ def test_malformed_value_is_config_error(tmp_path, capsys, doc, where):
     assert err.startswith(f"config error: {where}") and "Traceback" not in err
 
 
+# each subcommand with the config input that it needs left out
+MISSING_INPUT = {
+    "simulate": _without(BASIC, "tones"),
+    "estimate": _without(BASIC, "tones"),
+    "spectrogram": BASIC,
+    "compare": BASIC,
+    "mse": BASIC,
+}
+
+
+@pytest.mark.parametrize("command", MISSING_INPUT)
+def test_missing_input_is_precondition_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, MISSING_INPUT[command])
+    rc = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error [EstimationError]: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -614,6 +646,20 @@ def test_readme_configs_parse():
     assert blocks
     for block in blocks:
         ExperimentConfig.from_doc(json.loads(block)).build_pattern()
+
+
+def test_setup_probe_runs_on_readme_config(tmp_path):
+    # the benchmark's setup_s comes from this script; it calls build_pattern()
+    [block] = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(block)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["setup_s"] > 0
 
 
 class TestSpectrogramCommand:

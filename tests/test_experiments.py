@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -10,14 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nestdop import experiments
+from nestdop import coarray, experiments, patterns
 from nestdop.coarray import apodize, clutter_filter, estimate_covariance, lag_average
 from nestdop.config import ExperimentConfig
-from nestdop.estimators import LineSpectrum, nest, nesprit, welch, zero_fill
+from nestdop.estimators import EstimationError, LineSpectrum, nest, nesprit, welch, zero_fill
 from nestdop.patterns import difference_set
 from nestdop.signals import ToneSet, generate_pulsatile, generate_snapshots
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 TONES = ToneSet(((0.2, 1.0), (0.005, 10.0)))
 FILTER = {"type": "butterworth_highpass", "order": 4, "cutoff": 0.03}
@@ -110,6 +112,77 @@ class TestSharedPipeline:
         result = experiments.run_estimate(cfg)
         assert result["coarray"] is None
         assert list(result["spectra"]) == ["welch"]
+
+
+def counted(monkeypatch, owners, name):
+    """Count the calls of ``name`` at every module in ``owners`` that binds it."""
+    calls = []
+    original = getattr(owners[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def readme_config() -> dict:
+    [block] = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return json.loads(block)
+
+
+class TestRunConstants:
+    """The pattern, its difference set and the filter are built once per run."""
+
+    def test_optimal_nested_once_per_estimate(self, monkeypatch):
+        calls = counted(monkeypatch, [patterns], "optimal_nested")
+        cfg = ExperimentConfig.from_doc(readme_config())
+        experiments.run_estimate(cfg)
+        assert len(calls) == 1
+
+    def test_butterworth_once_per_compare(self, monkeypatch):
+        calls = counted(monkeypatch, [coarray], "butterworth_highpass")
+        cfg = compare_config()
+        experiments.run_compare(cfg)
+        assert len(cfg.profile.frames) > 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("run", ["compare", "estimate"])
+    def test_difference_set_once_per_run(self, monkeypatch, run):
+        calls = counted(monkeypatch, [patterns, experiments], "difference_set")
+        cfg = compare_config()
+        if run == "compare":
+            experiments.run_compare(cfg)
+        else:
+            experiments.run_estimate(replace(cfg, profile=None, tones=TONES))
+        assert len(calls) == 1
+
+    def test_cpis_are_estimated_lazily(self):
+        cfg = replace(compare_config(), profile=None, tones=TONES)
+        drawn = []
+
+        def cpis():
+            for seed in range(3):
+                drawn.append(seed)
+                yield generate_snapshots(cfg.tones, cfg.pattern, cfg.q, rng_seed=seed)
+
+        results = experiments.estimate_cpis(cpis(), cfg)
+        assert drawn == []
+        next(results)
+        assert drawn == [0]
+        assert len(list(results)) == 2
+
+    def test_cpi_on_another_pattern_is_rejected(self):
+        # same N and P, other slots: the lag map would silently be wrong
+        cfg = replace(compare_config(), profile=None, tones=TONES)
+        other = patterns.build_super_nested(15, 16)
+        assert other.n_transmissions == cfg.pattern.n_transmissions
+        assert other.slots != cfg.pattern.slots
+        snapshots = generate_snapshots(cfg.tones, other, cfg.q, rng_seed=0)
+        with pytest.raises(EstimationError, match="slots"):
+            next(experiments.estimate_cpis([snapshots], cfg))
 
 
 class TestMseConditioning:
