@@ -154,7 +154,7 @@ def cmd_spectrogram(args) -> int:
         gram.write_csv(args.out_dir / f"{name}_spectrogram.csv")
         if args.format == "pgm":
             gram.write_pgm(args.out_dir / f"{name}_spectrogram.pgm")
-        print(f"{name}: {len(gram.frames)} frames x {gram.num_bins} bins")
+        print(f"{name}: {len(gram.powers)} frames x {gram.num_bins} bins")
     return EXIT_OK
 
 

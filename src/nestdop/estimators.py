@@ -24,24 +24,28 @@ def soft_threshold(x: np.ndarray, lam: float) -> np.ndarray:
     return np.maximum(x - lam, 0.0)
 
 
+def circular_distance(frequencies: np.ndarray, nu: float) -> np.ndarray:
+    """Distance from each normalized frequency to ``nu`` on the unit circle."""
+    return np.abs((frequencies - nu + 0.5) % 1.0 - 0.5)
+
+
 @dataclass(frozen=True)
 class GridSpectrum:
-    """Nonnegative power per frequency bin.
+    """Nonnegative power per bin of an FFT grid.
 
-    Bin i maps to the normalized frequency ``frequencies[i]`` in
-    [-1/2, 1/2); bins are stored in FFT order (DC first).
+    Bin i maps to the normalized frequency ``np.fft.fftfreq(num_bins)[i]``
+    in [-1/2, 1/2); bins are stored in FFT order (DC first).
     """
 
     powers: np.ndarray
-    frequencies: np.ndarray
-
-    def __post_init__(self):
-        if self.powers.shape != self.frequencies.shape:
-            raise ValueError("powers and frequencies must align")
 
     @property
     def num_bins(self) -> int:
         return len(self.powers)
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return np.fft.fftfreq(self.num_bins)
 
     def peak_bin(self) -> int:
         return int(np.argmax(self.powers))
@@ -49,23 +53,8 @@ class GridSpectrum:
     def peak_frequency(self) -> float:
         return float(self.frequencies[self.peak_bin()])
 
-    def centered(self) -> "GridSpectrum":
-        """Bins reordered by ascending frequency (negative first)."""
-        order = np.argsort(self.frequencies, kind="stable")
-        return GridSpectrum(self.powers[order], self.frequencies[order])
-
     def nearest_bin(self, nu: float) -> int:
-        dist = np.abs((self.frequencies - nu + 0.5) % 1.0 - 0.5)
-        return int(np.argmin(dist))
-
-    def to_db(self, floor_db: float = -60.0) -> np.ndarray:
-        """Relative power in dB, max bin at 0 dB, clipped at the floor."""
-        top = float(np.max(self.powers))
-        if top <= 0:
-            return np.full_like(self.powers, floor_db)
-        with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(self.powers / top)
-        return np.clip(db, floor_db, 0.0)
+        return int(np.argmin(circular_distance(self.frequencies, nu)))
 
 
 @dataclass(frozen=True)
@@ -89,9 +78,8 @@ class LineSpectrum:
         freqs = np.fft.fftfreq(num_bins)
         powers = np.zeros(num_bins)
         for nu, p in self.lines:
-            dist = np.abs((freqs - nu + 0.5) % 1.0 - 0.5)
-            powers[int(np.argmin(dist))] += max(p, 0.0)
-        return GridSpectrum(powers, freqs)
+            powers[int(np.argmin(circular_distance(freqs, nu)))] += max(p, 0.0)
+        return GridSpectrum(powers)
 
 
 def nest(z: CoarraySignal, lam: float = 0.0) -> GridSpectrum:
@@ -107,7 +95,7 @@ def nest(z: CoarraySignal, lam: float = 0.0) -> GridSpectrum:
     x = np.empty(pt, dtype=complex)
     x[z.lags % pt] = z.values
     powers = soft_threshold(np.real(np.fft.fft(x)) / pt, lam)
-    return GridSpectrum(powers, np.fft.fftfreq(pt))
+    return GridSpectrum(powers)
 
 
 def estimate_noise_floor(eigenvalues: np.ndarray, m: int) -> float:
@@ -132,30 +120,27 @@ _SV_CUTOFF = 1e-10  # relative singular-value cutoff for pseudo-inverses
 _LANCZOS_MIN_P = 128
 
 
-def _dense_eigenpairs(z: CoarraySignal) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of the Hermitian part of the Toeplitz lag matrix, descending."""
-    r = build_toeplitz(z)
-    r = 0.5 * (r + r.conj().T)
-    evals, evecs = np.linalg.eigh(r)
+def _dense_eigenpairs(h: CoarraySignal) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of the Toeplitz matrix of a Hermitian h, descending."""
+    evals, evecs = np.linalg.eigh(build_toeplitz(h))
     return evals[::-1], evecs[:, ::-1]
 
 
 def _lanczos_eigenpairs(
-    z: CoarraySignal, m: int
+    h: CoarraySignal, m: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Top-m eigenpairs of the same matrix by implicitly restarted Lanczos.
 
     The matrix is never formed: its matvec is an FFT product on the
-    circulant embedding of the Hermitian part of z. The pairs come in no
-    particular order, which ESPRIT and the trace identity do not need.
-    Returns None when ARPACK does not converge.
+    circulant embedding of h. The pairs come in no particular order, which
+    ESPRIT and the trace identity do not need. Returns None when ARPACK
+    does not converge.
     """
-    p = z.window_size
-    h = 0.5 * (z.values + np.conj(z.values[::-1]))  # lags -(P-1)..P-1
+    p = h.window_size
     n_fft = 1 << (2 * p - 2).bit_length()  # power of two >= 2P-1
     c = np.zeros(n_fft, dtype=complex)
-    c[:p] = h[p - 1 :]  # lags 0..P-1
-    c[n_fft - (p - 1) :] = h[: p - 1]  # lags -(P-1)..-1, wrapped
+    c[:p] = h.values[p - 1 :]  # lags 0..P-1
+    c[n_fft - (p - 1) :] = h.values[: p - 1]  # lags -(P-1)..-1, wrapped
     c_hat = np.fft.fft(c)
 
     def matvec(x):
@@ -192,15 +177,17 @@ def nesprit(
     eigenvalue.
     """
     p = z.window_size
+    # Hermitian part of z, lags -(P-1)..P-1: its Toeplitz matrix is the eigenproblem
+    h = z.with_values(0.5 * (z.values + np.conj(z.values[::-1])))
     top = None
     if model_order is not None and p >= _LANCZOS_MIN_P and 0 < model_order < p - 1:
-        top = _lanczos_eigenpairs(z, model_order)
+        top = _lanczos_eigenpairs(h, model_order)
     if top is not None:
         m = model_order
         evals, evecs = top
         noise = float((p * z.values[p - 1].real - evals.sum()) / (p - m))
     else:
-        evals, evecs = _dense_eigenpairs(z)
+        evals, evecs = _dense_eigenpairs(h)
         if model_order is None:
             m = int(np.count_nonzero(soft_threshold(evals, lam)))
         else:
@@ -227,41 +214,27 @@ def nesprit(
     return LineSpectrum(lines=lines, noise_estimate=noise)
 
 
-def welch(
-    uniform_snapshots: np.ndarray,
-    segment_length: int | None = None,
-    overlap: float = 0.0,
-    window: str | np.ndarray = "boxcar",
-) -> GridSpectrum:
-    """Averaged periodogram over depth snapshots and time segments.
+def welch(uniform_snapshots: np.ndarray) -> GridSpectrum:
+    """Full-window periodogram of each depth snapshot, averaged over them.
 
-    Expects uniformly sampled slow-time data (Q x P). Defaults to a single
-    full-length segment per snapshot, averaged over Q.
+    Expects uniformly sampled slow-time data (Q x P); each snapshot is one
+    boxcar segment of P samples, so the grid is the P-point FFT grid.
     """
     y = np.asarray(uniform_snapshots)
     if y.ndim != 2:
         raise EstimationError("expected a Q x P matrix of uniform slow-time samples")
-    p = y.shape[1]
-    if segment_length is None:
-        segment_length = p
-    if segment_length > p:
-        raise EstimationError(
-            f"segment length {segment_length} exceeds window size {p}"
-        )
-    if not 0.0 <= overlap < 1.0:
-        raise EstimationError("overlap must be a fraction in [0, 1)")
-    freqs, pxx = sp_signal.welch(
+    _, pxx = sp_signal.welch(
         y,
         fs=1.0,
-        window=window,
-        nperseg=segment_length,
-        noverlap=int(overlap * segment_length),
+        window="boxcar",
+        nperseg=y.shape[1],
+        noverlap=0,
         detrend=False,
         return_onesided=False,
         scaling="density",
         axis=1,
     )
-    return GridSpectrum(pxx.mean(axis=0), freqs)
+    return GridSpectrum(pxx.mean(axis=0))
 
 
 def zero_fill(snapshots_data: np.ndarray, slots, p: int) -> np.ndarray:

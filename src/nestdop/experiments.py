@@ -60,20 +60,23 @@ def estimate_cpis(
 ) -> Iterator[tuple[CoarraySignal | None, dict[str, GridSpectrum | LineSpectrum]]]:
     """Every estimator in ``cfg.estimators`` on each CPI, in order.
 
-    Every CPI must be sampled on ``cfg.pattern``: its difference set, the
-    filter design and the apodization window are built once, before the
-    first CPI. Each CPI's coarray is built once and shared by ``nest`` and
+    Every CPI must be sampled on the window and slots of ``cfg.pattern``,
+    which are all its lag map depends on: its difference set, the filter
+    design and the apodization window are built once, before the first
+    CPI. Each CPI's coarray is built once and shared by ``nest`` and
     ``nesprit``; it is None when only Welch runs.
     """
     diffs = difference_set(cfg.pattern)
     h = None if cfg.filter_spec is None else cfg.filter_spec.coefficients()
     window = cfg.apodization_window()
     needs_coarray = any(name != "welch" for name in cfg.estimators)
+    expected = (cfg.pattern.window_size, cfg.pattern.slots)
     for snapshots in cpis:
-        if snapshots.pattern != cfg.pattern:
+        got = (snapshots.pattern.window_size, snapshots.pattern.slots)
+        if got != expected:
             raise EstimationError(
-                f"CPI sampled on slots {snapshots.pattern.slots}, "
-                f"but the config's pattern has slots {cfg.pattern.slots}"
+                f"CPI sampled on P={got[0]} slots {got[1]}, "
+                f"but the config's pattern has P={expected[0]} slots {expected[1]}"
             )
         z = None
         if needs_coarray:
@@ -114,19 +117,19 @@ def run_estimate(cfg: ExperimentConfig) -> dict:
 def run_spectrogram_frames(
     frames_data: Iterable[SlowTimeSnapshots], cfg: ExperimentConfig
 ) -> dict[str, Spectrogram]:
-    """One spectrum per CPI frame for every estimator, in frame order.
+    """One row of powers per CPI frame for every estimator, in frame order.
 
     Line spectra are rasterized onto the dense 2P-1 grid.
     """
-    frames: dict[str, list] = {name: [] for name in cfg.estimators}
-    for idx, (_, spectra) in enumerate(estimate_cpis(frames_data, cfg)):
+    rows: dict[str, list] = {name: [] for name in cfg.estimators}
+    for _, spectra in estimate_cpis(frames_data, cfg):
         for name, spec in spectra.items():
             if isinstance(spec, LineSpectrum):
                 spec = spec.rasterize(2 * cfg.window_size - 1)
-            frames[name].append((idx, spec))
+            rows[name].append(spec.powers)
     return {
         name: Spectrogram(
-            frames=tuple(spectra),
+            powers=np.array(powers),
             metadata={
                 "estimator": name,
                 "P": cfg.window_size,
@@ -135,7 +138,7 @@ def run_spectrogram_frames(
                 "apodization": cfg.apodization,
             },
         )
-        for name, spectra in frames.items()
+        for name, powers in rows.items()
     }
 
 
@@ -244,22 +247,25 @@ def run_mse(cfg: ExperimentConfig) -> list[MseRow]:
     ]
 
 
-def run_compare(cfg: ExperimentConfig, support_halfwidth: float | None = None) -> dict:
+SUPPORT_BINS = 10.0  # halfwidth of the ground-truth support, in dense-grid bins
+
+
+def run_compare(cfg: ExperimentConfig) -> dict:
     """All estimators on one pulsatile dataset, with summary statistics.
 
     Reports per-estimator ridge error (dense-grid bins) and the fraction
-    of spectral energy outside the ground-truth support.
+    of spectral energy more than ``SUPPORT_BINS`` dense-grid bins from the
+    ground-truth ridge.
     """
     if cfg.profile is None:
         raise EstimationError("compare needs a 'profile' entry in the config")
-    if support_halfwidth is None:
-        support_halfwidth = 10.0 / (2 * cfg.window_size - 1)
+    halfwidth = SUPPORT_BINS / (2 * cfg.window_size - 1)
     report = run_spectrogram(cfg)
     truth = profile_ridge(cfg.profile)
     report["stats"] = {}
     for name, gram in report["spectrograms"].items():
         bin_errors = ridge_bin_errors(gram, truth)
-        artifact = out_of_support_ratio(gram, truth, support_halfwidth)
+        artifact = out_of_support_ratio(gram, truth, halfwidth)
         report["stats"][name] = {
             "ridge_rms_bins": float(np.sqrt(np.mean(bin_errors.astype(float) ** 2))),
             "ridge_within_one_bin": float(np.mean(bin_errors <= 1)),

@@ -6,47 +6,47 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import GridSpectrum
+from .estimators import circular_distance
 from .serialize import write_pgm
+
+FLOOR_DB = -60.0  # image black level, in dB below the global maximum
 
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Time-ordered sequence of spectra with frame timing metadata.
+    """Frames x bins power array with run metadata.
 
-    ``frames`` holds (cpi_index, spectrum) pairs; every spectrum must share
-    one grid length and the indices must be strictly increasing.
+    Row t is the spectrum of CPI t on the FFT grid of ``num_bins`` bins,
+    in FFT order (DC first).
     """
 
-    frames: tuple[tuple[int, GridSpectrum], ...]
+    powers: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.frames:
-            raise ValueError("spectrogram has no frames")
-        n_bins = {s.num_bins for _, s in self.frames}
-        if len(n_bins) != 1:
-            raise ValueError(f"frames disagree on grid length: {sorted(n_bins)}")
-        times = [t for t, _ in self.frames]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("frame timestamps must be strictly increasing")
+        if self.powers.ndim != 2 or len(self.powers) == 0:
+            raise ValueError("spectrogram needs a frames x bins array with at least one frame")
 
     @property
     def num_bins(self) -> int:
-        return self.frames[0][1].num_bins
+        return self.powers.shape[1]
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return np.fft.fftfreq(self.num_bins)
 
     def ridge(self) -> np.ndarray:
         """Peak normalized frequency per frame."""
-        return np.array([s.peak_frequency() for _, s in self.frames])
+        return self.frequencies[np.argmax(self.powers, axis=1)]
 
     def power_matrix(self) -> np.ndarray:
         """Bins x frames matrix, rows ordered by ascending center frequency."""
-        return np.column_stack([s.centered().powers for _, s in self.frames])
+        return np.fft.fftshift(self.powers, axes=1).T
 
-    def to_image(self, floor_db: float = -60.0) -> np.ndarray:
+    def to_image(self) -> np.ndarray:
         """Grayscale dB image: rows = frequency (negative at top), cols = CPI.
 
-        The global max maps to 0 dB (white); the floor maps to black.
+        The global max maps to 0 dB (white); ``FLOOR_DB`` maps to black.
         """
         mat = self.power_matrix()
         top = float(mat.max())
@@ -54,18 +54,17 @@ class Spectrogram:
             return np.zeros(mat.shape, dtype=np.uint8)
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(np.maximum(mat, 0.0) / top)
-        db = np.clip(db, floor_db, 0.0)
-        return np.round((db - floor_db) / (-floor_db) * 255.0).astype(np.uint8)
+        db = np.clip(db, FLOOR_DB, 0.0)
+        return np.round((db - FLOOR_DB) / (-FLOOR_DB) * 255.0).astype(np.uint8)
 
-    def write_pgm(self, path, floor_db: float = -60.0) -> None:
-        write_pgm(self.to_image(floor_db), path)
+    def write_pgm(self, path) -> None:
+        write_pgm(self.to_image(), path)
 
     def write_csv(self, path) -> None:
-        freqs = np.sort(self.frames[0][1].frequencies, kind="stable")
-        mat = self.power_matrix()
+        freqs = np.fft.fftshift(self.frequencies)
         with open(path, "w") as fh:
-            fh.write("frequency," + ",".join(f"cpi{t}" for t, _ in self.frames) + "\n")
-            for nu, row in zip(freqs, mat):
+            fh.write("frequency," + ",".join(f"cpi{t}" for t in range(len(self.powers))) + "\n")
+            for nu, row in zip(freqs, self.power_matrix()):
                 fh.write(
                     f"{float(nu)!r},"
                     + ",".join(repr(float(v)) for v in row)
@@ -74,14 +73,12 @@ class Spectrogram:
 
 
 def ridge_bin_errors(spectrogram: Spectrogram, true_freqs) -> np.ndarray:
-    """Distance in dense-grid bins between each frame's peak and the truth."""
+    """Distance in grid bins between each frame's peak and the truth."""
     n = spectrogram.num_bins
-    errors = []
-    for (_, spec), nu in zip(spectrogram.frames, true_freqs):
-        true_bin = spec.nearest_bin(nu)
-        diff = abs(spec.peak_bin() - true_bin)
-        errors.append(min(diff, n - diff))  # circular grid
-    return np.array(errors)
+    freqs = spectrogram.frequencies
+    true_bins = [np.argmin(circular_distance(freqs, nu)) for nu in true_freqs]
+    diff = np.abs(np.argmax(spectrogram.powers, axis=1) - true_bins)
+    return np.minimum(diff, n - diff)  # circular grid
 
 
 def out_of_support_ratio(
@@ -92,13 +89,12 @@ def out_of_support_ratio(
     Frequency halfwidth is in normalized-frequency units so estimators
     with different grid densities can be compared.
     """
+    freqs = spectrogram.frequencies
     total = 0.0
     outside = 0.0
-    for (_, spec), nu in zip(spectrogram.frames, true_freqs):
-        dist = np.abs((spec.frequencies - nu + 0.5) % 1.0 - 0.5)
-        mask = dist > halfwidth
-        total += float(spec.powers.sum())
-        outside += float(spec.powers[mask].sum())
+    for row, nu in zip(spectrogram.powers, true_freqs):
+        total += float(row.sum())
+        outside += float(row[circular_distance(freqs, nu) > halfwidth].sum())
     if total <= 0:
         return 0.0
     return outside / total

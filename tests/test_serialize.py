@@ -75,7 +75,7 @@ class TestCsvWriters:
         assert lines[2] == "0,0.1,0.0"  # repr keeps 0.1 exact
 
     def test_spectrum_csv(self, tmp_path):
-        spec = GridSpectrum(np.array([1.0, 0.5, 0.25]), np.fft.fftfreq(3))
+        spec = GridSpectrum(np.array([1.0, 0.5, 0.25]))
         path = tmp_path / "p.csv"
         write_spectrum_csv(spec, path)
         lines = path.read_text().splitlines()
@@ -91,7 +91,7 @@ class TestCsvWriters:
 
 class TestJsonWriters:
     def test_spectrum_json(self, tmp_path):
-        spec = GridSpectrum(np.array([1.0, 0.5]), np.array([0.0, 0.5]))
+        spec = GridSpectrum(np.array([1.0, 0.5]))
         path = tmp_path / "p.json"
         write_spectrum_json(spec, path)
         doc = json.loads(path.read_text())

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nestdop.estimators import GridSpectrum
 from nestdop.experiments import profile_ridge, sinusoidal_profile
 from nestdop.spectrogram import (
     Spectrogram,
@@ -14,13 +13,11 @@ from nestdop.units import PhysicalParams
 def spectrum_with_peak(n_bins, k, power=1.0, floor=0.0):
     powers = np.full(n_bins, floor)
     powers[k] += power
-    return GridSpectrum(powers, np.fft.fftfreq(n_bins))
+    return powers
 
 
 def make_gram(peaks, n_bins=9, **kw):
-    return Spectrogram(
-        frames=tuple((t, spectrum_with_peak(n_bins, k, **kw)) for t, k in enumerate(peaks))
-    )
+    return Spectrogram(np.array([spectrum_with_peak(n_bins, k, **kw) for k in peaks]))
 
 
 class TestSpectrogram:
@@ -28,6 +25,14 @@ class TestSpectrogram:
         gram = make_gram([0, 2, 4])
         freqs = np.fft.fftfreq(9)
         np.testing.assert_allclose(gram.ridge(), freqs[[0, 2, 4]])
+
+    def test_ridge_tie_takes_lower_fft_order_bin(self):
+        # bins 1 (+1/9) and 8 (-1/9) tie; in the centered order -1/9 comes first
+        powers = np.zeros((1, 9))
+        powers[0, [1, 8]] = 1.0
+        gram = Spectrogram(powers)
+        assert gram.ridge()[0] == np.fft.fftfreq(9)[1]
+        np.testing.assert_array_equal(ridge_bin_errors(gram, [1 / 9]), [0])
 
     def test_power_matrix_shape_and_order(self):
         gram = make_gram([1, 3])
@@ -38,19 +43,11 @@ class TestSpectrogram:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Spectrogram(frames=())
+            Spectrogram(np.empty((0, 9)))
 
-    def test_rejects_mixed_grids(self):
+    def test_rejects_one_dimensional(self):
         with pytest.raises(ValueError):
-            Spectrogram(
-                frames=((0, spectrum_with_peak(9, 0)), (1, spectrum_with_peak(7, 0)))
-            )
-
-    def test_rejects_nonincreasing_times(self):
-        with pytest.raises(ValueError):
-            Spectrogram(
-                frames=((1, spectrum_with_peak(9, 0)), (1, spectrum_with_peak(9, 1)))
-            )
+            Spectrogram(np.ones(9))
 
     def test_to_image_range(self):
         gram = make_gram([0, 4], power=1.0, floor=1e-9)
@@ -94,7 +91,7 @@ class TestOutOfSupport:
         powers = np.zeros(n)
         powers[0] = 3.0
         powers[4] = 1.0
-        gram = Spectrogram(frames=((0, GridSpectrum(powers, np.fft.fftfreq(n))),))
+        gram = Spectrogram(powers[np.newaxis])
         ratio = out_of_support_ratio(gram, [0.0], halfwidth=0.05)
         assert ratio == pytest.approx(0.25)
 
