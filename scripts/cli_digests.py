@@ -1,12 +1,18 @@
 """SHA-256 digests of the files a fixed set of CLI runs writes.
 
-Usage: python scripts/cli_digests.py OUT_DIR
+Usage: python scripts/cli_digests.py OUT_DIR | --write
 
 Runs eleven nestdop subcommands with fixed configs and seeds against the
 ``src/`` tree next to this script, each in its own directory under OUT_DIR,
-and prints one ``sha256  relative/path`` line per file written (the
-subcommand's stdout included). Running it on two checkouts and diffing the
-two listings checks that a change keeps every output byte-identical.
+and prints a listing: ``# field: value`` header lines that fingerprint the
+environment the bytes depend on (numpy and scipy versions, numpy's OpenBLAS
+configuration, the machine, and the BLAS thread variables as seen after
+``import nestdop``), then one ``sha256  relative/path`` line per file written
+(the subcommand's stdout included). Running it on two checkouts and diffing
+the two listings checks that a change keeps every output byte-identical.
+
+``--write`` runs in a temporary directory and writes the listing to
+``tests/data/cli_digests.txt``, which ``tests/test_cli.py`` compares against.
 """
 
 from __future__ import annotations
@@ -17,10 +23,14 @@ import io
 import json
 import math
 import os
+import platform
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+LISTING = ROOT / "tests" / "data" / "cli_digests.txt"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 sys.path.insert(0, str(ROOT / "src"))
 
 from nestdop.cli import main  # noqa: E402
@@ -137,20 +147,58 @@ def run(name: str, doc, argv: list[str]) -> None:
     (Path(name) / "stdout.txt").write_text(stdout.getvalue())
 
 
+def fingerprint() -> dict[str, str]:
+    """The environment the output bytes depend on."""
+    import numpy
+    import scipy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        openblas = blas.get("openblas configuration")
+    except (TypeError, KeyError):
+        openblas = None
+    fields = {
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "openblas": str(openblas),
+        "machine": platform.machine(),
+    }
+    fields.update((var, str(os.environ.get(var))) for var in THREAD_VARS)
+    return fields
+
+
+def listing(out_dir: Path) -> str:
+    """Every run in OUT_DIR (created here), then the header and digest lines."""
+    out_dir.mkdir(parents=True)
+    cwd = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        for name, doc, args in RUNS:
+            run(name, doc, args)
+        lines = [f"# {field}: {value}" for field, value in fingerprint().items()]
+        lines += [
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}"
+            for path in sorted(p for p in Path().glob("*/*") if p.is_file())
+        ]
+    finally:
+        os.chdir(cwd)
+    return "\n".join(lines) + "\n"
+
+
 def main_digests(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
+    if argv[0] == "--write":
+        with tempfile.TemporaryDirectory() as tmp:
+            LISTING.write_text(listing(Path(tmp) / "out"))
+        print(f"wrote {LISTING.relative_to(ROOT)}")
+        return 0
     out_dir = Path(argv[0])
     if out_dir.exists():
         print(f"{out_dir} exists; give a directory to create", file=sys.stderr)
         return 2
-    out_dir.mkdir(parents=True)
-    os.chdir(out_dir)
-    for name, doc, args in RUNS:
-        run(name, doc, args)
-    for path in sorted(p for p in Path().glob("*/*") if p.is_file()):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
+    sys.stdout.write(listing(out_dir))
     return 0
 
 

@@ -1,5 +1,15 @@
 """Sparse slow-time Doppler: emission pattern design and spectrum recovery."""
 
+import os
+
+# One BLAS thread unless the user chose otherwise: the per-CPI matrices are
+# small enough that a thread pool costs more than it earns, and the dense
+# eigh bits would otherwise depend on the core count. Effective only if set
+# before numpy (and scipy's bundled OpenBLAS) first loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .coarray import (
     CoarrayHoleError,
     CoarraySignal,

@@ -19,6 +19,7 @@ from .signals import SlowTimeSnapshots
 
 _SNAPSHOT_MAGIC = b"NDSS"
 _SNAPSHOT_VERSION = 1
+_HEADER_BYTES = 28  # magic + "<IIIId" (version, P, N, Q, noise power)
 
 
 def write_snapshots(snapshots: SlowTimeSnapshots, path) -> None:
@@ -42,14 +43,22 @@ def write_snapshots(snapshots: SlowTimeSnapshots, path) -> None:
 
 
 def read_snapshots(path) -> SlowTimeSnapshots:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _SNAPSHOT_MAGIC:
-            raise ValueError(f"{path} is not a snapshot container")
-        version, p, n, q, noise_power = struct.unpack("<IIIId", fh.read(24))
-        if version != _SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        slots = struct.unpack(f"<{n}I", fh.read(4 * n))
-        data = np.frombuffer(fh.read(16 * q * n), dtype=np.complex128).reshape(q, n)
+    raw = Path(path).read_bytes()
+    if raw[:4] != _SNAPSHOT_MAGIC:
+        raise ValueError(f"{path} is not a snapshot container")
+    if len(raw) < _HEADER_BYTES:
+        raise ValueError(
+            f"{path}: truncated header: expected at least {_HEADER_BYTES} bytes, "
+            f"got {len(raw)}"
+        )
+    version, p, n, q, noise_power = struct.unpack_from("<IIIId", raw, 4)
+    if version != _SNAPSHOT_VERSION:
+        raise ValueError(f"{path}: unsupported container version {version}")
+    size = _HEADER_BYTES + 4 * n + 16 * q * n
+    if len(raw) != size:
+        raise ValueError(f"{path}: expected {size} bytes for N={n}, Q={q}, got {len(raw)}")
+    slots = struct.unpack_from(f"<{n}I", raw, _HEADER_BYTES)
+    data = np.frombuffer(raw, dtype=np.complex128, offset=_HEADER_BYTES + 4 * n).reshape(q, n)
     pattern = EmissionPattern(
         window_size=p, slots=slots, family=_guess_family(slots, p)
     )

@@ -662,6 +662,65 @@ def test_setup_probe_runs_on_readme_config(tmp_path):
     assert out["setup_s"] > 0
 
 
+# pytest has loaded numpy already, so the BLAS default is checked in fresh interpreters
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _default_env(**preset):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    return {**env, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1", **preset}
+
+
+def _thread_vars_after_import(**preset):
+    code = (
+        "import json, os, nestdop; "
+        f"print(json.dumps({{v: os.environ.get(v) for v in {THREAD_VARS}}}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_default_env(**preset), timeout=60, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_import_sets_one_blas_thread():
+    assert _thread_vars_after_import() == dict.fromkeys(THREAD_VARS, "1")
+
+
+def test_user_blas_thread_setting_wins():
+    assert _thread_vars_after_import(OPENBLAS_NUM_THREADS="2")["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def _listing(text):
+    """Header fields and {path: sha256} of a scripts/cli_digests.py listing."""
+    fields, digests = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# "):
+            field, _, value = line[2:].partition(": ")
+            fields[field] = value
+        else:
+            digest, path = line.split("  ", 1)
+            digests[path] = digest
+    return fields, digests
+
+
+def test_cli_outputs_match_committed_digests(tmp_path):
+    # regenerate tests/data/cli_digests.txt with `python scripts/cli_digests.py --write`
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cli_digests.py"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=_default_env(), timeout=300, check=True,
+    )
+    want_env, want = _listing((ROOT / "tests" / "data" / "cli_digests.txt").read_text())
+    got_env, got = _listing(proc.stdout)
+    fields = [f"{f} ({got_env.get(f)!r}, listing {v!r})" for f, v in want_env.items()
+              if got_env.get(f) != v]
+    changed = sorted(p for p in want.keys() | got.keys() if want.get(p) != got.get(p))
+    # a changed digest always fails; the fingerprint only explains it
+    assert not changed, f"outputs differ from the listing: {changed}; environment: {fields}"
+    if fields:
+        pytest.skip(f"listing was written in another environment: {', '.join(fields)}")
+
+
 class TestSpectrogramCommand:
     def test_writes_csv_and_pgm(self, tmp_path):
         doc = {k: v for k, v in BASIC.items() if k != "tones"}

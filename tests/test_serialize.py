@@ -47,6 +47,32 @@ class TestSnapshotContainer:
         with pytest.raises(ValueError):
             read_snapshots(path)
 
+    @staticmethod
+    def _damaged(tmp_path, edit):
+        # nested (3, 2): N=5 slots, Q=7 snapshots, so 28 + 4*5 + 16*7*5 = 608 bytes
+        pat = build_nested(3, 2)
+        snaps = generate_snapshots(ToneSet(((0.2, 1.0),)), pat, 7, 0.3, rng_seed=1)
+        path = tmp_path / "s.bin"
+        write_snapshots(snaps, path)
+        path.write_bytes(edit(path.read_bytes()))
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw[:20], "expected at least 28 bytes, got 20"),
+            (lambda raw: raw[:600], "expected 608 bytes for N=5, Q=7, got 600"),
+            (lambda raw: raw + b"\0", "expected 608 bytes for N=5, Q=7, got 609"),
+        ],
+        ids=["cut_in_header", "cut_in_data", "trailing_bytes"],
+    )
+    def test_rejects_damaged_container(self, tmp_path, edit, message):
+        path = self._damaged(tmp_path, edit)
+        with pytest.raises(ValueError) as err:
+            read_snapshots(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert str(err.value).endswith(message)
+
     def test_deterministic_bytes(self, tmp_path):
         pat = build_nested(3, 2)
         snaps = generate_snapshots(ToneSet(((0.2, 1.0),)), pat, 5, 0.1, rng_seed=9)
