@@ -2,7 +2,7 @@
 
 Usage: python scripts/cli_digests.py OUT_DIR | --write
 
-Runs eleven nestdop subcommands with fixed configs and seeds against the
+Runs thirteen nestdop subcommands with fixed configs and seeds against the
 ``src/`` tree next to this script, each in its own directory under OUT_DIR,
 and prints a listing: ``# field: value`` header lines that fingerprint the
 environment the bytes depend on (numpy and scipy versions, numpy's OpenBLAS
@@ -52,6 +52,16 @@ P64 = {
     "model_order": 2,
     "estimators": ["nest", "nesprit"],
     "seed": 11,
+}
+P64_DEFAULT_ORDER = {k: v for k, v in P64.items() if k != "model_order"}
+WELCH_STANDARD = {
+    "P": 64,
+    "pattern": {"family": "standard"},
+    "tones": [[0.125, 1.0], [-0.3, 0.25]],
+    "Q": 40,
+    "noise_power": 0.1,
+    "estimators": ["welch"],
+    "seed": 13,
 }
 CRITERION_07 = {
     "P": 12,
@@ -122,6 +132,8 @@ RUNS = (
     ("estimate_readme_json", README, ["estimate", "--format", "json"]),
     ("estimate_p64_csv", P64, ["estimate", "--format", "csv"]),
     ("estimate_p64_json", P64, ["estimate", "--format", "json"]),
+    ("estimate_p64_default_order", P64_DEFAULT_ORDER, ["estimate", "--format", "csv"]),
+    ("estimate_welch_standard", WELCH_STANDARD, ["estimate", "--format", "csv"]),
     ("spectrogram_p256", GRAM_256, ["spectrogram", "--format", "pgm"]),
     ("spectrogram_p12", GRAM_12, ["spectrogram", "--format", "pgm"]),
     ("compare_p1024", COMPARE_1024, ["compare"]),

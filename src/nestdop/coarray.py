@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, signal
+from scipy import signal
 
 from .patterns import DifferenceSet
 from .signals import SlowTimeSnapshots
@@ -113,9 +113,7 @@ def lag_average(cov: CovarianceEstimate, diffs: DifferenceSet) -> CoarraySignal:
 def build_toeplitz(z: CoarraySignal) -> np.ndarray:
     """P x P Hermitian Toeplitz matrix with entry (i, j) = z(i - j)."""
     p = z.window_size
-    col = z.values[p - 1 :]  # lags 0..P-1
-    row = z.values[p - 1 :: -1]  # lags 0..-(P-1)
-    return linalg.toeplitz(col, row)
+    return z.values[np.subtract.outer(np.arange(p), np.arange(p)) + (p - 1)]
 
 
 def filter_autocorrelation(h, length: int | None = None) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coarray import CoarraySignal, build_toeplitz
@@ -218,23 +217,22 @@ def welch(uniform_snapshots: np.ndarray) -> GridSpectrum:
     """Full-window periodogram of each depth snapshot, averaged over them.
 
     Expects uniformly sampled slow-time data (Q x P); each snapshot is one
-    boxcar segment of P samples, so the grid is the P-point FFT grid.
+    boxcar segment of P samples, so the grid is the P-point FFT grid. The
+    powers are ``x = fft(y * (1.0 / sqrt(P)))``, then ``x.real**2 +
+    x.imag**2`` averaged over the snapshots (``sqrt(1.0 / P)`` gives other
+    bits). That is the two-sided density of ``scipy.signal.welch(y,
+    window="boxcar", nperseg=P, noverlap=0, detrend=False, axis=1)`` bit for
+    bit, as checked against scipy 1.17.1 (``pyproject.toml`` allows
+    scipy>=1.10).
     """
     y = np.asarray(uniform_snapshots)
     if y.ndim != 2:
         raise EstimationError("expected a Q x P matrix of uniform slow-time samples")
-    _, pxx = sp_signal.welch(
-        y,
-        fs=1.0,
-        window="boxcar",
-        nperseg=y.shape[1],
-        noverlap=0,
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-        axis=1,
-    )
-    return GridSpectrum(pxx.mean(axis=0))
+    q, p = y.shape
+    if q == 0 or p == 0:
+        raise EstimationError(f"Welch needs a nonempty Q x P matrix, got {q} x {p}")
+    x = np.fft.fft(y * (1.0 / np.sqrt(p)), axis=1)
+    return GridSpectrum((x.real**2 + x.imag**2).mean(axis=0))
 
 
 def zero_fill(snapshots_data: np.ndarray, slots, p: int) -> np.ndarray:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
+from scipy.linalg import toeplitz
 
 from nestdop.coarray import (
     CoarrayHoleError,
@@ -192,6 +195,15 @@ class TestBuildToeplitz:
         evals = np.linalg.eigvalsh(build_toeplitz(z))
         np.testing.assert_allclose(evals[:-1], sigma2, atol=1e-10)
         assert evals[-1] == pytest.approx(pat.window_size + sigma2)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(p=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_is_scipys_bit_for_bit(self, p, seed):
+        # Random lags, so the lag-0 value is complex and z is not Hermitian.
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(2 * p - 1) + 1j * rng.standard_normal(2 * p - 1)
+        r = build_toeplitz(CoarraySignal(p, values))
+        assert np.array_equal(r, toeplitz(values[p - 1 :], values[p - 1 :: -1]))
 
 
 class TestFullWindowReconstruction:

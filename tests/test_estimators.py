@@ -3,6 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 from scipy.linalg import toeplitz
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -46,6 +48,26 @@ def exact_coarray(pattern, tones, noise_power=0.0):
 def grid_frequency(p, k):
     """Frequency of dense-grid bin k for window size p."""
     return np.fft.fftfreq(2 * p - 1)[k]
+
+
+def scipy_welch(y):
+    """The scipy call ``welch`` replaced, averaged over the snapshots."""
+    _, pxx = signal.welch(
+        y,
+        fs=1.0,
+        window="boxcar",
+        nperseg=y.shape[1],
+        noverlap=0,
+        detrend=False,
+        return_onesided=False,
+        scaling="density",
+        axis=1,
+    )
+    return pxx.mean(axis=0)
+
+
+def complex_normal(rng, shape, scale=1.0):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 class TestSoftThreshold:
@@ -376,6 +398,28 @@ class TestWelch:
     def test_rejects_bad_input(self):
         with pytest.raises(EstimationError):
             welch(np.ones(8, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(0, 12), (3, 0), (0, 0)])
+    def test_rejects_empty_input(self, shape):
+        q, p = shape
+        with pytest.raises(EstimationError, match=f"{q} x {p}"):
+            welch(np.zeros(shape, dtype=complex))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        q=st.integers(1, 64),
+        p=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e100]),
+    )
+    def test_powers_are_scipys_bit_for_bit(self, q, p, seed, scale):
+        y = complex_normal(np.random.default_rng(seed), (q, p), scale)
+        assert np.array_equal(welch(y).powers, scipy_welch(y))
+
+    @pytest.mark.parametrize("shape", [(200, 12), (100, 1024)])
+    def test_powers_are_scipys_at_workload_sizes(self, shape):
+        y = complex_normal(np.random.default_rng(shape[1]), shape)
+        assert np.array_equal(welch(y).powers, scipy_welch(y))
 
 
 class TestZeroFill:
