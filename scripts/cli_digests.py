@@ -1,8 +1,8 @@
 """SHA-256 digests of the files a fixed set of CLI runs writes.
 
-Usage: python scripts/cli_digests.py OUT_DIR | --write
+Usage: python scripts/cli_digests.py OUT_DIR | --write | --compare OLD_DIR NEW_DIR
 
-Runs thirteen nestdop subcommands with fixed configs and seeds against the
+Runs fourteen nestdop subcommands with fixed configs and seeds against the
 ``src/`` tree next to this script, each in its own directory under OUT_DIR,
 and prints a listing: ``# field: value`` header lines that fingerprint the
 environment the bytes depend on (numpy and scipy versions, numpy's OpenBLAS
@@ -13,11 +13,19 @@ the two listings checks that a change keeps every output byte-identical.
 
 ``--write`` runs in a temporary directory and writes the listing to
 ``tests/data/cli_digests.txt``, which ``tests/test_cli.py`` compares against.
+
+``--compare OLD_DIR NEW_DIR`` reads two such OUT_DIRs and prints one row per
+file whose bytes differ: the number of changed values, and the largest
+absolute and relative deviation. A change of shape (CSV rows or columns,
+JSON keys, PGM size, stdout text, a file present on one side only) is
+reported as structural, and named. The report explains a change; it does
+not excuse one. Exit code 0 when no file differs, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -73,6 +81,20 @@ CRITERION_07 = {
     "seed": 7,
 }
 FILTER = {"type": "butterworth_highpass", "order": 4, "cutoff": 0.03}
+# The sweep through the conditioning stages: clutter filter, taper, mean removal.
+MSE_CONDITIONED = {
+    "P": 64,
+    "pattern": {"family": "nested", "optimal": True},
+    "tones": [[0.2, 1.0]],
+    "Q": 40,
+    "trials": 50,
+    "snr_list_db": [-5.0, 5.0, 15.0],
+    "filter": FILTER,
+    "apodization": "hamming",
+    "remove_mean": True,
+    "subtract_noise": False,
+    "seed": 21,
+}
 
 
 def profile(num_frames: int, base: float, swing: float, clutter_db=None) -> dict:
@@ -139,6 +161,7 @@ RUNS = (
     ("compare_p1024", COMPARE_1024, ["compare"]),
     ("compare_p256", GRAM_256, ["compare"]),
     ("mse_criterion_07", CRITERION_07, ["mse"]),
+    ("mse_conditioned_p64", MSE_CONDITIONED, ["mse"]),
     ("simulate_readme", README, ["simulate"]),
     ("design_256", None, ["design", "256"]),
 )
@@ -197,7 +220,110 @@ def listing(out_dir: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _leaves(doc, path="") -> dict:
+    """{key path: value} of every leaf of a JSON document; list items by index."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return {path: doc}
+    out = {}
+    for key, value in items:
+        out.update(_leaves(value, f"{path}/{key}"))
+    return out
+
+
+def _parse(path: Path) -> tuple[dict, list]:
+    """A file's shape (named parts) and its values, in order."""
+    data = path.read_bytes()
+    if path.suffix == ".csv":
+        header, *rows = list(csv.reader(io.StringIO(data.decode())))
+        widths = sorted({len(row) for row in rows})
+        return {"header": header, "rows": len(rows), "columns": widths}, [
+            cell for row in rows for cell in row
+        ]
+    if path.suffix == ".json":
+        leaves = _leaves(json.loads(data))
+        return {"keys": list(leaves)}, [
+            v if isinstance(v, (int, float)) and not isinstance(v, bool) else str(v)
+            for v in leaves.values()
+        ]
+    if path.suffix == ".pgm":
+        magic, size, maxval, pixels = data.split(b"\n", 3)
+        return {"header": [magic, size, maxval]}, list(pixels)
+    return {"content": data}, []  # stdout and anything else: any change is structural
+
+
+def _structural(old_shape: dict, new_shape: dict) -> str:
+    parts = []
+    for name in old_shape.keys() | new_shape.keys():
+        a, b = old_shape.get(name), new_shape.get(name)
+        if a == b:
+            continue
+        if name == "keys":
+            gone, added = sorted(set(a) - set(b)), sorted(set(b) - set(a))
+            parts.append(f"keys -{gone[:3]} +{added[:3]}" if gone or added else "key order")
+        elif name in ("rows", "columns"):
+            parts.append(f"{name} {a} -> {b}")
+        else:
+            parts.append(name)
+    return "structural: " + ", ".join(sorted(parts))
+
+
+def compare_file(old: Path, new: Path) -> str | None:
+    """One report row for a pair of files, or None when their bytes are equal."""
+    if old.read_bytes() == new.read_bytes():
+        return None
+    (old_shape, old_values), (new_shape, new_values) = _parse(old), _parse(new)
+    if old_shape != new_shape:
+        return _structural(old_shape, new_shape)
+    changed, max_abs, max_rel = 0, 0.0, 0.0
+    for a, b in zip(old_values, new_values):
+        if a == b:
+            continue
+        x = a if isinstance(a, (int, float)) else _number(a)
+        y = b if isinstance(b, (int, float)) else _number(b)
+        if x is None or y is None:
+            return f"structural: text value {a!r} -> {b!r}"
+        if x == y:
+            continue  # the same number written another way
+        changed += 1
+        dev = abs(y - x)
+        max_abs = max(max_abs, dev)
+        max_rel = max(max_rel, dev / abs(x) if x else math.inf)
+    return f"{changed} changed, max abs {max_abs:.3g}, max rel {max_rel:.3g}"
+
+
+def compare_dirs(old_dir: Path, new_dir: Path) -> list[tuple[str, str]]:
+    """(relative path, report row) for every file that differs between two OUT_DIRs."""
+    old = {p.relative_to(old_dir) for p in old_dir.glob("*/*") if p.is_file()}
+    new = {p.relative_to(new_dir) for p in new_dir.glob("*/*") if p.is_file()}
+    rows = []
+    for rel in sorted(old | new):
+        if rel not in new:
+            rows.append((str(rel), f"structural: only in {old_dir}"))
+        elif rel not in old:
+            rows.append((str(rel), f"structural: only in {new_dir}"))
+        elif (row := compare_file(old_dir / rel, new_dir / rel)) is not None:
+            rows.append((str(rel), row))
+    return rows
+
+
 def main_digests(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        rows = compare_dirs(Path(argv[1]), Path(argv[2]))
+        for rel, row in rows:
+            print(f"{rel}  {row}")
+        print(f"{len(rows)} files differ")
+        return 1 if rows else 0
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ conventional wall filters and windowing.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,10 @@ class CoarrayHoleError(ValueError):
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Hermitian N x N sample covariance of the sparse slow-time vector."""
+    """Hermitian N x N sample covariance of the sparse slow-time vector.
+
+    ``matrix`` is T x N x N for a stack of T CPIs.
+    """
 
     matrix: np.ndarray
     q_used: int
@@ -48,16 +52,20 @@ class CoarraySignal:
     ``values[i]`` holds the lag ``i - (P - 1)``; lag 0 sits in the middle.
     Conjugate symmetry holds up to estimation noise because the covariance
     is Hermitian and the index sets of opposite lags mirror each other.
+    A stack of T CPIs has T x (2P-1) values; ``z[t]`` is the coarray of CPI t.
     """
 
     window_size: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (2 * self.window_size - 1,):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != 2 * self.window_size - 1:
             raise ValueError(
                 f"expected {2 * self.window_size - 1} lags, got {self.values.shape}"
             )
+
+    def __getitem__(self, t: int) -> "CoarraySignal":
+        return self.with_values(self.values[t])
 
     @property
     def lags(self) -> np.ndarray:
@@ -66,7 +74,7 @@ class CoarraySignal:
     def value(self, lag: int) -> complex:
         if abs(lag) > self.window_size - 1:
             raise IndexError(f"lag {lag} outside [-(P-1), P-1]")
-        return self.values[lag + self.window_size - 1]
+        return self.values[..., lag + self.window_size - 1]
 
     def with_values(self, values: np.ndarray) -> "CoarraySignal":
         return CoarraySignal(window_size=self.window_size, values=values)
@@ -75,16 +83,20 @@ class CoarraySignal:
 def estimate_covariance(
     snapshots: SlowTimeSnapshots, remove_mean: bool = False
 ) -> CovarianceEstimate:
-    """Sample covariance (1/Q) sum_k y_k y_k^H, optionally mean-subtracted."""
+    """Sample covariance (1/Q) sum_k y_k y_k^H, optionally mean-subtracted.
+
+    A T x Q x N stack gives T x N x N matrices, each bit for bit the one
+    its CPI gives alone.
+    """
     y = snapshots.data
-    q = y.shape[0]
+    q = y.shape[-2]
     if remove_mean:
         if q < 2:
             raise ValueError("mean removal requires at least 2 snapshots")
-        y = y - y.mean(axis=0, keepdims=True)
-    r = y.conj().T @ y / q
-    r = r.T  # (1/Q) sum y y^H with y as rows
-    r = 0.5 * (r + r.conj().T)  # kill floating-point asymmetry
+        y = y - y.mean(axis=-2, keepdims=True)
+    r = y.conj().swapaxes(-1, -2) @ y / q
+    r = r.swapaxes(-1, -2)  # (1/Q) sum y y^H with y as rows
+    r = 0.5 * (r + r.conj().swapaxes(-1, -2))  # kill floating-point asymmetry
     return CovarianceEstimate(matrix=r, q_used=q, mean_removed=remove_mean)
 
 
@@ -93,27 +105,33 @@ def lag_average(cov: CovarianceEstimate, diffs: DifferenceSet) -> CoarraySignal:
 
     Lags beyond the observation window (possible for co-prime patterns)
     are discarded. Raises CoarrayHoleError when a lag inside the window is
-    not realized by any slot pair.
+    not realized by any slot pair. A stack of T matrices is averaged by one
+    ``bincount``, CPI t's lags offset by t(2P-1), so each lag sums its
+    entries in the same order as for that CPI alone.
     """
     missing = diffs.missing_lags()
     if missing:
         raise CoarrayHoleError(missing)
     p = diffs.window_size
+    lead = cov.matrix.shape[:-2]
+    t = math.prod(lead)
     bins = diffs.position_lags + (p - 1)
-    r_vec = cov.matrix.ravel(order="F")  # column-stacking
+    r_vec = cov.matrix.swapaxes(-1, -2).reshape(t, -1)  # column-stacking
     inside = (bins >= 0) & (bins < 2 * p - 1)
     if not inside.all():
-        bins, r_vec = bins[inside], r_vec[inside]
+        bins, r_vec = bins[inside], r_vec[:, inside]
     counts = np.bincount(bins, minlength=2 * p - 1)
-    re = np.bincount(bins, weights=r_vec.real, minlength=2 * p - 1)
-    im = np.bincount(bins, weights=r_vec.imag, minlength=2 * p - 1)
-    return CoarraySignal(window_size=p, values=(re + 1j * im) / counts)
+    stacked = (bins + (2 * p - 1) * np.arange(t)[:, None]).ravel()
+    re = np.bincount(stacked, weights=r_vec.real.ravel(), minlength=t * (2 * p - 1))
+    im = np.bincount(stacked, weights=r_vec.imag.ravel(), minlength=t * (2 * p - 1))
+    values = (re + 1j * im).reshape(lead + (2 * p - 1,)) / counts
+    return CoarraySignal(window_size=p, values=values)
 
 
 def build_toeplitz(z: CoarraySignal) -> np.ndarray:
-    """P x P Hermitian Toeplitz matrix with entry (i, j) = z(i - j)."""
+    """P x P Hermitian Toeplitz matrix with entry (i, j) = z(i - j); T x P x P for a stack."""
     p = z.window_size
-    return z.values[np.subtract.outer(np.arange(p), np.arange(p)) + (p - 1)]
+    return z.values[..., np.subtract.outer(np.arange(p), np.arange(p)) + (p - 1)]
 
 
 def filter_autocorrelation(h, length: int | None = None) -> np.ndarray:
@@ -155,13 +173,15 @@ def clutter_filter(z: CoarraySignal, h) -> CoarraySignal:
     Equivalent to filtering the (unobservable) uniform slow-time signal
     with ``h`` and re-estimating its autocorrelation. An IIR (b, a) pair is
     evaluated to 4P impulse-response taps. Linear convolution (by FFT) with
-    central truncation back to 2P-1 lags.
+    central truncation back to 2P-1 lags. The filter's autocorrelation is
+    computed once per call, so once for a whole stack of coarrays.
     """
     p = z.window_size
     g = filter_autocorrelation(h, length=4 * p)
-    full = signal.fftconvolve(z.values, g)
-    center = (len(full) - 1) // 2
-    return z.with_values(full[center - (p - 1) : center + p])
+    g = g.reshape((1,) * (z.values.ndim - 1) + g.shape)  # one kernel for every CPI
+    full = signal.fftconvolve(z.values, g, axes=-1)
+    center = (full.shape[-1] - 1) // 2
+    return z.with_values(full[..., center - (p - 1) : center + p])
 
 
 def butterworth_highpass(order: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +192,7 @@ def butterworth_highpass(order: int, cutoff: float) -> tuple[np.ndarray, np.ndar
 
 
 def apodize(z: CoarraySignal, window: np.ndarray) -> CoarraySignal:
-    """Taper the coarray signal by the window's deterministic autocorrelation."""
+    """Taper the coarray signal (or each of a stack) by the window's autocorrelation."""
     window = np.asarray(window, dtype=float)
     if window.shape != (z.window_size,):
         raise ValueError(

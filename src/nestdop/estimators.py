@@ -33,14 +33,18 @@ class GridSpectrum:
     """Nonnegative power per bin of an FFT grid.
 
     Bin i maps to the normalized frequency ``np.fft.fftfreq(num_bins)[i]``
-    in [-1/2, 1/2); bins are stored in FFT order (DC first).
+    in [-1/2, 1/2); bins are stored in FFT order (DC first). A stack of T
+    spectra has T x num_bins powers; ``spec[t]`` is the spectrum of CPI t.
     """
 
     powers: np.ndarray
 
+    def __getitem__(self, t: int) -> "GridSpectrum":
+        return GridSpectrum(self.powers[t])
+
     @property
     def num_bins(self) -> int:
-        return len(self.powers)
+        return self.powers.shape[-1]
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -87,12 +91,13 @@ def nest(z: CoarraySignal, lam: float = 0.0) -> GridSpectrum:
     The 2P-1 lags form a complete residue system, so the DFT grid is twice
     as dense as standard processing. The DFT of a conjugate-symmetric z is
     real; the imaginary residue is floating-point noise and is dropped
-    before thresholding.
+    before thresholding. A stack of coarrays gives a stack of spectra, by
+    one FFT over the rows.
     """
     p = z.window_size
     pt = 2 * p - 1
-    x = np.empty(pt, dtype=complex)
-    x[z.lags % pt] = z.values
+    x = np.empty(z.values.shape, dtype=complex)
+    x[..., z.lags % pt] = z.values
     powers = soft_threshold(np.real(np.fft.fft(x)) / pt, lam)
     return GridSpectrum(powers)
 
@@ -120,9 +125,9 @@ _LANCZOS_MIN_P = 128
 
 
 def _dense_eigenpairs(h: CoarraySignal) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of the Toeplitz matrix of a Hermitian h, descending."""
+    """All eigenpairs of the Toeplitz matrix of a Hermitian h, descending; stacked for a stack."""
     evals, evecs = np.linalg.eigh(build_toeplitz(h))
-    return evals[::-1], evecs[:, ::-1]
+    return evals[..., ::-1], evecs[..., ::-1]
 
 
 def _lanczos_eigenpairs(
@@ -158,7 +163,7 @@ def nesprit(
     lam: float = 0.0,
     model_order: int | None = None,
     subtract_noise: bool = True,
-) -> LineSpectrum:
+) -> LineSpectrum | tuple[LineSpectrum, ...]:
     """Gridless recovery via ESPRIT on the Toeplitz lag matrix.
 
     Model order is the number of eigenvalues above ``lam`` unless given
@@ -174,43 +179,68 @@ def nesprit(
     ARPACK does not converge, a dense eigendecomposition of the P x P matrix
     is used: the rank-count rule behind ``model_order=None`` needs every
     eigenvalue.
+
+    A stack of T coarrays gives a tuple of T line spectra, each bit for bit
+    the one its coarray gives alone. The dense eigendecompositions run once
+    per stack, and so does the ESPRIT step when every dense coarray has the
+    same order; Lanczos and the least squares run per coarray.
     """
     p = z.window_size
     # Hermitian part of z, lags -(P-1)..P-1: its Toeplitz matrix is the eigenproblem
-    h = z.with_values(0.5 * (z.values + np.conj(z.values[::-1])))
-    top = None
+    h = z.with_values(0.5 * (z.values + np.conj(z.values[..., ::-1])))
+    values, h_rows = z.values.reshape(-1, 2 * p - 1), h.values.reshape(-1, 2 * p - 1)
+    rows = range(len(values))
+    noise = [0.0] * len(values)
+    groups = []  # (rows, their stacked signal-subspace bases), one order per group
+    dense = list(rows)
     if model_order is not None and p >= _LANCZOS_MIN_P and 0 < model_order < p - 1:
-        top = _lanczos_eigenpairs(h, model_order)
-    if top is not None:
-        m = model_order
-        evals, evecs = top
-        noise = float((p * z.values[p - 1].real - evals.sum()) / (p - m))
-    else:
-        evals, evecs = _dense_eigenpairs(h)
-        if model_order is None:
-            m = int(np.count_nonzero(soft_threshold(evals, lam)))
-        else:
-            m = model_order
-        noise = estimate_noise_floor(evals, m) if m < p else 0.0
-    if m == 0:
-        return LineSpectrum(lines=(), noise_estimate=noise)
-    if m > p - 1:
-        raise EstimationError(
-            f"model order {m} exceeds P-1={p - 1}; subspace shift is rank-deficient"
+        dense = []
+        for t in rows:
+            top = _lanczos_eigenpairs(h.with_values(h_rows[t]), model_order)
+            if top is None:
+                dense.append(t)
+                continue
+            evals, evecs = top
+            noise[t] = float((p * values[t, p - 1].real - evals.sum()) / (p - model_order))
+            groups.append(([t], evecs[None]))
+    if dense:
+        evals, evecs = _dense_eigenpairs(
+            h if len(dense) == len(values) else h.with_values(h_rows[dense])
         )
-    em = evecs[:, :m]
-    e1 = em[:-1, :]
-    e2 = em[1:, :]
-    beta = np.linalg.eigvals(np.linalg.pinv(e1, rcond=_SV_CUTOFF) @ e2)
-    nu = np.angle(beta) / (2.0 * np.pi)
-    nu = (nu + 0.5) % 1.0 - 0.5  # fold the branch point onto [-1/2, 1/2)
-    zz = z.values.copy()
-    if subtract_noise:
-        zz[p - 1] -= noise
-    abar = vandermonde_on_lags(nu, p)
-    powers, *_ = np.linalg.lstsq(abar, zz, rcond=_SV_CUTOFF)
-    lines = tuple(sorted(zip(nu.tolist(), np.real(powers).tolist())))
-    return LineSpectrum(lines=lines, noise_estimate=noise)
+        evals, evecs = evals.reshape(-1, p), evecs.reshape(-1, p, p)
+        if model_order is None:
+            orders = np.count_nonzero(soft_threshold(evals, lam), axis=-1)
+        else:
+            orders = np.full(len(dense), model_order)
+        if orders.max() > p - 1:
+            raise EstimationError(
+                f"model order {orders.max()} exceeds P-1={p - 1}; "
+                "subspace shift is rank-deficient"
+            )
+        for t, ev, m in zip(dense, evals, orders):
+            noise[t] = estimate_noise_floor(ev, m)
+        if (orders == orders[0]).all():
+            groups.append((dense, evecs[..., : orders[0]]))
+        else:
+            for i, (t, m) in enumerate(zip(dense, orders)):
+                groups.append(([t], evecs[i : i + 1, :, :m]))
+    spectra = [LineSpectrum(lines=(), noise_estimate=noise[t]) for t in rows]
+    for group, em in groups:
+        if em.shape[-1] == 0:
+            continue
+        e1 = em[:, :-1, :]
+        e2 = em[:, 1:, :]
+        beta = np.linalg.eigvals(np.linalg.pinv(e1, rcond=_SV_CUTOFF) @ e2)
+        nus = np.angle(beta) / (2.0 * np.pi)
+        nus = (nus + 0.5) % 1.0 - 0.5  # fold the branch point onto [-1/2, 1/2)
+        for t, nu in zip(group, nus):
+            zz = values[t].copy()
+            if subtract_noise:
+                zz[p - 1] -= noise[t]
+            powers, *_ = np.linalg.lstsq(vandermonde_on_lags(nu, p), zz, rcond=_SV_CUTOFF)
+            lines = tuple(sorted(zip(nu.tolist(), np.real(powers).tolist())))
+            spectra[t] = LineSpectrum(lines=lines, noise_estimate=noise[t])
+    return tuple(spectra) if z.values.ndim > 1 else spectra[0]
 
 
 def welch(uniform_snapshots: np.ndarray) -> GridSpectrum:
@@ -223,16 +253,16 @@ def welch(uniform_snapshots: np.ndarray) -> GridSpectrum:
     bits). That is the two-sided density of ``scipy.signal.welch(y,
     window="boxcar", nperseg=P, noverlap=0, detrend=False, axis=1)`` bit for
     bit, as checked against scipy 1.17.1 (``pyproject.toml`` allows
-    scipy>=1.10).
+    scipy>=1.10). A T x Q x P stack gives a stack of T spectra, by one FFT.
     """
     y = np.asarray(uniform_snapshots)
-    if y.ndim != 2:
+    if y.ndim not in (2, 3):
         raise EstimationError("expected a Q x P matrix of uniform slow-time samples")
-    q, p = y.shape
+    q, p = y.shape[-2:]
     if q == 0 or p == 0:
         raise EstimationError(f"Welch needs a nonempty Q x P matrix, got {q} x {p}")
-    x = np.fft.fft(y * (1.0 / np.sqrt(p)), axis=1)
-    return GridSpectrum((x.real**2 + x.imag**2).mean(axis=0))
+    x = np.fft.fft(y * (1.0 / np.sqrt(p)), axis=-1)
+    return GridSpectrum((x.real**2 + x.imag**2).mean(axis=-2))
 
 
 def zero_fill(snapshots_data: np.ndarray, slots, p: int) -> np.ndarray:
@@ -240,11 +270,11 @@ def zero_fill(snapshots_data: np.ndarray, slots, p: int) -> np.ndarray:
 
     This is an interpretation layer for running Welch on sparse data; the
     pattern's spectral window leaks into every bin, which is exactly the
-    artifact the comparison experiments quantify.
+    artifact the comparison experiments quantify. A T x Q x N stack gives
+    T x Q x P.
     """
-    q = snapshots_data.shape[0]
-    full = np.zeros((q, p), dtype=complex)
+    full = np.zeros(snapshots_data.shape[:-1] + (p,), dtype=complex)
     cols = np.asarray(slots, dtype=int) - 1
     keep = cols < p  # co-prime slots beyond the window are dropped
-    full[:, cols[keep]] = snapshots_data[:, keep]
+    full[..., cols[keep]] = snapshots_data[..., keep]
     return full

@@ -3,9 +3,10 @@
 Every CPI goes through one path, :func:`estimate_cpis`: sample covariance ->
 lag averaging -> optional clutter filter and apodization -> each configured
 estimator. The run constants (difference set, filter design, window) are
-built once per call, not once per CPI. All runs are deterministic given a
-config and seed: per-frame and per-trial RNG streams are spawned from one
-root seed.
+built once per call, not once per CPI, and each stage runs once per stack
+of CPIs: spectrograms stack their frames and MSE sweeps their trials. All
+runs are deterministic given a config and seed: per-frame and per-trial RNG
+streams are spawned from one root seed.
 """
 
 from __future__ import annotations
@@ -40,6 +41,35 @@ from .signals import (
 from .spectrogram import Spectrogram, out_of_support_ratio, ridge_bin_errors
 
 
+# Bytes of one stack of CPIs, each counted as max(Q, P) x P complex values: the
+# larger of its window fully sampled (the zero-filled Welch input, the MSE
+# sweep's full draw) and nesprit's dense P x P eigenproblem. No stage makes a
+# larger array per CPI, so this bounds the memory a run adds by stacking: 13
+# trials of the criterion-07 sweep (P=12, Q=200) make a stack, and a CPI with
+# Q <= P stands alone from P=129 on, where per-call costs no longer dominate.
+_STACK_BYTES = 1 << 19
+
+
+def _stacks(cpis: Iterable[SlowTimeSnapshots]) -> Iterator[SlowTimeSnapshots]:
+    """Consecutive CPIs of one shape as T x Q x N stacks of at most _STACK_BYTES."""
+    batch: list[SlowTimeSnapshots] = []
+    for cpi in cpis:
+        if batch and cpi.data.shape != batch[0].data.shape:
+            yield _stack(batch)
+            batch = []
+        batch.append(cpi)
+        p = cpi.pattern.window_size
+        if (len(batch) + 1) * max(cpi.n_snapshots, p) * p * cpi.data.itemsize > _STACK_BYTES:
+            yield _stack(batch)
+            batch = []
+    if batch:
+        yield _stack(batch)
+
+
+def _stack(batch: list[SlowTimeSnapshots]) -> SlowTimeSnapshots:
+    return SlowTimeSnapshots(pattern=batch[0].pattern, data=np.stack([c.data for c in batch]))
+
+
 def _welch_input(snapshots: SlowTimeSnapshots, cfg: ExperimentConfig) -> np.ndarray:
     """Uniformly sampled slow-time data for Welch, or an EstimationError."""
     pattern = snapshots.pattern
@@ -60,6 +90,11 @@ def estimate_cpis(
 ) -> Iterator[tuple[CoarraySignal | None, dict[str, GridSpectrum | LineSpectrum]]]:
     """Every estimator in ``cfg.estimators`` on each CPI, in order.
 
+    An element of ``cpis`` is one CPI (Q x N samples) or a stack of CPIs
+    (T x Q x N). Each stage runs once per element, and one ``(z, spectra)``
+    is yielded per CPI, bit for bit what that CPI gives alone. Elements are
+    taken one at a time, when the previous one's results are used up.
+
     Every CPI must be sampled on the window and slots of ``cfg.pattern``,
     which are all its lag map depends on: its difference set, the filter
     design and the apodization window are built once, before the first
@@ -78,6 +113,8 @@ def estimate_cpis(
                 f"CPI sampled on P={got[0]} slots {got[1]}, "
                 f"but the config's pattern has P={expected[0]} slots {expected[1]}"
             )
+        if snapshots.data.ndim == 2:
+            snapshots = replace(snapshots, data=snapshots.data[None])
         z = None
         if needs_coarray:
             z = lag_average(estimate_covariance(snapshots, remove_mean=cfg.remove_mean), diffs)
@@ -100,7 +137,8 @@ def estimate_cpis(
                 )
             else:
                 raise EstimationError(f"unknown estimator {name!r}")
-        yield z, spectra
+        for t in range(len(snapshots.data)):
+            yield None if z is None else z[t], {name: spec[t] for name, spec in spectra.items()}
 
 
 def run_estimate(cfg: ExperimentConfig) -> dict:
@@ -122,7 +160,7 @@ def run_spectrogram_frames(
     Line spectra are rasterized onto the dense 2P-1 grid.
     """
     rows: dict[str, list] = {name: [] for name in cfg.estimators}
-    for _, spectra in estimate_cpis(frames_data, cfg):
+    for _, spectra in estimate_cpis(_stacks(frames_data), cfg):
         for name, spec in spectra.items():
             if isinstance(spec, LineSpectrum):
                 spec = spec.rasterize(2 * cfg.window_size - 1)
@@ -227,17 +265,26 @@ def run_mse(cfg: ExperimentConfig) -> list[MseRow]:
         rng_seed = int(seed.generate_state(1)[0])
         return generate_snapshots(cfg.tones, pattern, cfg.q, noise_power, rng_seed)
 
-    # tee holds one trial: each sparse draw is made when estimate_cpis asks for it
-    info, draws = itertools.tee(trials)
-    sparse = (draw(cfg.pattern, noise, seed) for _, noise, seed, _ in draws)
+    # Both draws are made a stack at a time, when their estimator asks for it;
+    # tee holds the trials of at most one stack.
+    info, sparse_seeds, full_seeds = itertools.tee(trials, 3)
+    sparse = (draw(cfg.pattern, noise, seed) for _, noise, seed, _ in sparse_seeds)
+    full_draws = (draw(full, noise, seed) for _, noise, _, seed in full_seeds)
+
+    def welch_spectra():
+        for stack in _stacks(full_draws):
+            spectra = welch(stack.data)
+            yield from (spectra[t] for t in range(len(stack.data)))
+
     errors: list[list] = [[] for _ in cfg.snr_list_db]
-    for (i, noise, _, full_seed), (_, spectra) in zip(info, estimate_cpis(sparse, sparse_cfg)):
-        full_snaps = draw(full, noise, full_seed)
+    for (i, *_), (_, spectra), full_spectrum in zip(
+        info, estimate_cpis(_stacks(sparse), sparse_cfg), welch_spectra()
+    ):
         errors[i].append(
             (
                 _frequency_error(true_nu, spectra["nest"].peak_frequency()),
                 _frequency_error(true_nu, spectra["nesprit"].dominant_frequency()),
-                _frequency_error(true_nu, welch(full_snaps.data).peak_frequency()),
+                _frequency_error(true_nu, full_spectrum.peak_frequency()),
             )
         )
     return [

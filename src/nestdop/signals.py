@@ -44,26 +44,30 @@ class ToneSet:
 
 @dataclass(frozen=True)
 class SlowTimeSnapshots:
-    """Q depth snapshots of the sparse slow-time vector (Q x N)."""
+    """Q depth snapshots of the sparse slow-time vector (Q x N).
+
+    ``data`` may also be a T x Q x N stack of T CPIs on one pattern, which
+    the estimation stages process in one call each.
+    """
 
     pattern: EmissionPattern
     data: np.ndarray
     noise_power: float = 0.0
 
     def __post_init__(self):
-        if self.data.ndim != 2:
-            raise ValueError("data must be a Q x N matrix")
-        if self.data.shape[1] != self.pattern.n_transmissions:
+        if self.data.ndim not in (2, 3):
+            raise ValueError("data must be a Q x N matrix or a T x Q x N stack")
+        if self.data.shape[-1] != self.pattern.n_transmissions:
             raise ValueError(
-                f"data has {self.data.shape[1]} columns but pattern has "
+                f"data has {self.data.shape[-1]} columns but pattern has "
                 f"{self.pattern.n_transmissions} slots"
             )
-        if self.data.shape[0] < 1:
+        if self.data.shape[-2] < 1:
             raise ValueError("need at least one snapshot")
 
     @property
     def n_snapshots(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
 
 @dataclass(frozen=True)

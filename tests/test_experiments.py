@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -83,16 +84,18 @@ class TestSharedPipeline:
                 assert gram.num_bins == ref.num_bins, name
 
     def test_one_covariance_per_frame(self, monkeypatch):
-        calls = []
+        # each call covers a stack of frames: count the matrices it returns
+        matrices = []
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return estimate_covariance(*args, **kwargs)
+            cov = estimate_covariance(*args, **kwargs)
+            matrices.append(math.prod(cov.matrix.shape[:-2]))
+            return cov
 
         monkeypatch.setattr(experiments, "estimate_covariance", counting)
         cfg = compare_config()
         experiments.run_compare(cfg)
-        assert len(calls) == len(cfg.profile.frames)
+        assert sum(matrices) == len(cfg.profile.frames)
 
     def test_estimate_matches_inline_reference(self):
         cfg = replace(compare_config(), profile=None, tones=TONES)
@@ -227,6 +230,44 @@ class TestMseConditioning:
             assert conditioned[(snr, "nesprit")] != plain[(snr, "nesprit")]
             # the Welch baseline sees the raw fully sampled draw
             assert conditioned[(snr, "welch")] == plain[(snr, "welch")]
+
+
+class TestStacks:
+    """Stacking CPIs changes how many calls each stage makes, never a bit of the result."""
+
+    @pytest.mark.parametrize("stack_bytes", [1, 1 << 30], ids=["one_cpi", "one_stack"])
+    def test_mse_rows_do_not_depend_on_the_stack_size(self, monkeypatch, stack_bytes):
+        cfg = ExperimentConfig.from_doc(
+            {**TestMseConditioning.BASE, "filter": FILTER, "apodization": "hamming",
+             "remove_mean": True, "subtract_noise": False}
+        )
+        default = experiments.run_mse(cfg)
+        monkeypatch.setattr(experiments, "_STACK_BYTES", stack_bytes)
+        assert repr(experiments.run_mse(cfg)) == repr(default)
+
+    @pytest.mark.parametrize("stack_bytes", [1, 1 << 30], ids=["one_cpi", "one_stack"])
+    def test_compare_does_not_depend_on_the_stack_size(self, monkeypatch, stack_bytes):
+        cfg = compare_config()
+        default = experiments.run_compare(cfg)
+        monkeypatch.setattr(experiments, "_STACK_BYTES", stack_bytes)
+        report = experiments.run_compare(cfg)
+        assert report["stats"] == default["stats"]
+        for name, gram in default["spectrograms"].items():
+            assert np.array_equal(report["spectrograms"][name].powers, gram.powers)
+
+    def test_stacks_are_bounded_and_of_one_shape(self, monkeypatch):
+        pattern = compare_config().pattern
+        cpis = [
+            generate_snapshots(TONES, pattern, q, rng_seed=k)
+            for k, q in enumerate([4, 4, 4, 4, 4, 6, 4])
+        ]
+        # each CPI counts as max(Q, P) x P complex values: three fit
+        p = pattern.window_size
+        monkeypatch.setattr(experiments, "_STACK_BYTES", 3 * p * p * 16)
+        stacks = list(experiments._stacks(iter(cpis)))
+        assert [s.data.shape[:2] for s in stacks] == [(3, 4), (2, 4), (1, 6), (1, 4)]
+        rows = [row for s in stacks for row in s.data]
+        assert all(np.array_equal(row, cpi.data) for row, cpi in zip(rows, cpis))
 
 
 class TestTracerTargets:
