@@ -2,7 +2,7 @@
 
 Usage: python scripts/cli_digests.py OUT_DIR | --write | --compare OLD_DIR NEW_DIR
 
-Runs fourteen nestdop subcommands with fixed configs and seeds against the
+Runs fifteen nestdop subcommands with fixed configs and seeds against the
 ``src/`` tree next to this script, each in its own directory under OUT_DIR,
 and prints a listing: ``# field: value`` header lines that fingerprint the
 environment the bytes depend on (numpy and scipy versions, numpy's OpenBLAS
@@ -15,8 +15,10 @@ the two listings checks that a change keeps every output byte-identical.
 ``tests/data/cli_digests.txt``, which ``tests/test_cli.py`` compares against.
 
 ``--compare OLD_DIR NEW_DIR`` reads two such OUT_DIRs and prints one row per
-file whose bytes differ: the number of changed values, and the largest
-absolute and relative deviation. A change of shape (CSV rows or columns,
+file whose bytes differ: the number of changed values, the largest absolute
+and relative deviation, and the largest absolute deviation scaled by the
+file's largest finite magnitude on either side (``scaled``), which does not
+blow up on values near zero. A change of shape (CSV rows or columns,
 JSON keys, PGM size, stdout text, a file present on one side only) is
 reported as structural, and named. The report explains a change; it does
 not excuse one. Exit code 0 when no file differs, 1 otherwise.
@@ -62,6 +64,8 @@ P64 = {
     "seed": 11,
 }
 P64_DEFAULT_ORDER = {k: v for k, v in P64.items() if k != "model_order"}
+# A filtered coarray.csv; the 3-tap FIR is shorter than the 4P-3 kernel lags.
+P64_FIR = {**P64, "filter": {"type": "fir", "taps": [1.0, -2.0, 1.0]}, "apodization": "hann"}
 WELCH_STANDARD = {
     "P": 64,
     "pattern": {"family": "standard"},
@@ -155,6 +159,7 @@ RUNS = (
     ("estimate_p64_csv", P64, ["estimate", "--format", "csv"]),
     ("estimate_p64_json", P64, ["estimate", "--format", "json"]),
     ("estimate_p64_default_order", P64_DEFAULT_ORDER, ["estimate", "--format", "csv"]),
+    ("estimate_p64_fir", P64_FIR, ["estimate", "--format", "csv"]),
     ("estimate_welch_standard", WELCH_STANDARD, ["estimate", "--format", "csv"]),
     ("spectrogram_p256", GRAM_256, ["spectrogram", "--format", "pgm"]),
     ("spectrogram_p12", GRAM_12, ["spectrogram", "--format", "pgm"]),
@@ -285,12 +290,13 @@ def compare_file(old: Path, new: Path) -> str | None:
     (old_shape, old_values), (new_shape, new_values) = _parse(old), _parse(new)
     if old_shape != new_shape:
         return _structural(old_shape, new_shape)
-    changed, max_abs, max_rel = 0, 0.0, 0.0
+    changed, max_abs, max_rel, max_mag = 0, 0.0, 0.0, 0.0
     for a, b in zip(old_values, new_values):
-        if a == b:
-            continue
         x = a if isinstance(a, (int, float)) else _number(a)
         y = b if isinstance(b, (int, float)) else _number(b)
+        max_mag = max([max_mag] + [abs(v) for v in (x, y) if v is not None and math.isfinite(v)])
+        if a == b:
+            continue
         if x is None or y is None:
             return f"structural: text value {a!r} -> {b!r}"
         if x == y:
@@ -299,7 +305,11 @@ def compare_file(old: Path, new: Path) -> str | None:
         dev = abs(y - x)
         max_abs = max(max_abs, dev)
         max_rel = max(max_rel, dev / abs(x) if x else math.inf)
-    return f"{changed} changed, max abs {max_abs:.3g}, max rel {max_rel:.3g}"
+    scaled = max_abs / max_mag if max_mag else math.inf
+    return (
+        f"{changed} changed, max abs {max_abs:.3g}, max rel {max_rel:.3g}, "
+        f"scaled {scaled:.3g}"
+    )
 
 
 def compare_dirs(old_dir: Path, new_dir: Path) -> list[tuple[str, str]]:

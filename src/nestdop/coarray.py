@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
+from .memo import array_key, memo
 from .patterns import DifferenceSet
 from .signals import SlowTimeSnapshots
 
@@ -172,16 +173,30 @@ def clutter_filter(z: CoarraySignal, h) -> CoarraySignal:
 
     Equivalent to filtering the (unobservable) uniform slow-time signal
     with ``h`` and re-estimating its autocorrelation. An IIR (b, a) pair is
-    evaluated to 4P impulse-response taps. Linear convolution (by FFT) with
-    central truncation back to 2P-1 lags. The filter's autocorrelation is
-    computed once per call, so once for a whole stack of coarrays.
+    evaluated to 4P impulse-response taps. The output lags |k| <= P-1 read
+    the filter's autocorrelation g only at |lag| <= 2P-2, so g is cut to
+    those lags (or zero-padded to them) and the convolution is circular, of
+    a length L >= 4P-3 at which nothing wraps around. The spectrum of the
+    cut g is built once per (filter, P) in a process; each call, for one
+    coarray or a stack, takes one forward and one inverse FFT of length L.
     """
     p = z.window_size
+    g_hat = _kernel_spectrum(h, p)
+    out = np.fft.ifft(np.fft.fft(z.values, len(g_hat)) * g_hat)
+    return z.with_values(out[..., : 2 * p - 1])
+
+
+@memo(key=lambda h, p: (array_key(h), p))
+def _kernel_spectrum(h, p: int) -> np.ndarray:
+    """FFT of g at lags -(2P-2)..2P-2, lag k at index k mod L, L a power of two >= 4P-3."""
     g = filter_autocorrelation(h, length=4 * p)
-    g = g.reshape((1,) * (z.values.ndim - 1) + g.shape)  # one kernel for every CPI
-    full = signal.fftconvolve(z.values, g, axes=-1)
-    center = (full.shape[-1] - 1) // 2
-    return z.with_values(full[..., center - (p - 1) : center + p])
+    center = (len(g) - 1) // 2  # lag 0
+    reach = min(center, 2 * p - 2)
+    lags = np.arange(-reach, reach + 1)
+    n_fft = 1 << (4 * p - 4).bit_length()
+    kernel = np.zeros(n_fft, dtype=g.dtype)
+    kernel[lags % n_fft] = g[center + lags]
+    return np.fft.fft(kernel)
 
 
 def butterworth_highpass(order: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -198,5 +213,10 @@ def apodize(z: CoarraySignal, window: np.ndarray) -> CoarraySignal:
         raise ValueError(
             f"window length {window.shape} does not match P={z.window_size}"
         )
-    taper = np.correlate(window, window, mode="full")  # length 2P-1
-    return z.with_values(z.values * taper)
+    return z.with_values(z.values * _taper(window))
+
+
+@memo(key=array_key)
+def _taper(window: np.ndarray) -> np.ndarray:
+    """The window's autocorrelation, length 2P-1, built once per window in a process."""
+    return np.correlate(window, window, mode="full")

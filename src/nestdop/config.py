@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import patterns
+from .memo import memo
 from .patterns import EmissionPattern, KLevelParams, PatternError
 from .signals import FrameSpec, PulsatileProfile, ToneSet
 from .units import PhysicalParams
@@ -135,8 +136,9 @@ class FilterSpec:
     order: int = 4
     taps: tuple[float, ...] | None = None
 
+    @memo(key=lambda self: self)
     def coefficients(self):
-        """Return what coarray.clutter_filter expects: taps or (b, a)."""
+        """Return what coarray.clutter_filter expects: taps or (b, a), built once per spec."""
         from .coarray import butterworth_highpass
 
         if self.kind == "fir":

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coarray import CoarraySignal, build_toeplitz
+from .memo import memo
 
 
 class EstimationError(ValueError):
@@ -54,7 +55,9 @@ class GridSpectrum:
         return int(np.argmax(self.powers))
 
     def peak_frequency(self) -> float:
-        return float(self.frequencies[self.peak_bin()])
+        """``frequencies[peak_bin()]`` bit for bit, by fftfreq's own arithmetic on that bin."""
+        n, i = self.num_bins, self.peak_bin()
+        return (i if i < (n + 1) // 2 else i - n) * (1.0 / n)
 
     def nearest_bin(self, nu: float) -> int:
         return int(np.argmin(circular_distance(self.frequencies, nu)))
@@ -151,11 +154,16 @@ def _lanczos_eigenpairs(
         return np.fft.ifft(c_hat * np.fft.fft(np.ravel(x), n_fft))[:p]
 
     op = LinearOperator((p, p), matvec=matvec, dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(p).astype(complex)
     try:
-        return eigsh(op, k=m, which="LA", v0=v0)
+        return eigsh(op, k=m, which="LA", v0=_start_vector(p))
     except ArpackNoConvergence:
         return None
+
+
+@memo(key=lambda p: p)
+def _start_vector(p: int) -> np.ndarray:
+    """ARPACK's fixed start vector for a P x P problem, built once per P in a process."""
+    return np.random.default_rng(0).standard_normal(p).astype(complex)
 
 
 def nesprit(

@@ -2,11 +2,12 @@
 
 Every CPI goes through one path, :func:`estimate_cpis`: sample covariance ->
 lag averaging -> optional clutter filter and apodization -> each configured
-estimator. The run constants (difference set, filter design, window) are
-built once per call, not once per CPI, and each stage runs once per stack
-of CPIs: spectrograms stack their frames and MSE sweeps their trials. All
-runs are deterministic given a config and seed: per-frame and per-trial RNG
-streams are spawned from one root seed.
+estimator. The run constants (difference set, filter design, the filter's
+kernel spectrum, the taper) are built once per process, in bounded memos
+(:mod:`nestdop.memo`), and each stage runs once per stack of CPIs:
+spectrograms stack their frames and MSE sweeps their trials. All runs are
+deterministic given a config and seed: per-frame and per-trial RNG streams
+are spawned from one root seed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .estimators import (
     welch,
     zero_fill,
 )
-from .patterns import build_standard, difference_set
+from .patterns import build_standard, cached_difference_set
 from .signals import (
     FrameSpec,
     PulsatileProfile,
@@ -97,11 +98,13 @@ def estimate_cpis(
 
     Every CPI must be sampled on the window and slots of ``cfg.pattern``,
     which are all its lag map depends on: its difference set, the filter
-    design and the apodization window are built once, before the first
-    CPI. Each CPI's coarray is built once and shared by ``nest`` and
+    design and the apodization window are looked up once, before the first
+    CPI. The difference set and the filter design, like the kernel spectrum
+    and the taper, are built only by the first run in a process that uses
+    them. Each CPI's coarray is built once and shared by ``nest`` and
     ``nesprit``; it is None when only Welch runs.
     """
-    diffs = difference_set(cfg.pattern)
+    diffs = cached_difference_set(cfg.pattern)
     h = None if cfg.filter_spec is None else cfg.filter_spec.coefficients()
     window = cfg.apodization_window()
     needs_coarray = any(name != "welch" for name in cfg.estimators)

@@ -15,6 +15,8 @@ from enum import Enum
 
 import numpy as np
 
+from .memo import memo
+
 
 class Family(str, Enum):
     STANDARD = "standard"
@@ -327,6 +329,12 @@ def difference_set(pattern: EmissionPattern) -> DifferenceSet:
         multiplicity=dict(zip(lags, counts.tolist())),
         position_lags=position_lags,
     )
+
+
+@memo(key=lambda pattern: (pattern.window_size, pattern.slots))
+def cached_difference_set(pattern: EmissionPattern) -> DifferenceSet:
+    """``difference_set(pattern)``, built once per (P, slots) in a process."""
+    return difference_set(pattern)
 
 
 def verify_contiguous_coarray(pattern: EmissionPattern) -> bool:

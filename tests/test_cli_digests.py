@@ -51,6 +51,7 @@ def test_one_ulp_move_is_one_change(tmp_path, digests):
     assert rel == "run/coarray.csv"
     assert row.startswith("1 changed")
     assert "max rel 2.22e-16" in row
+    assert row.endswith("scaled 2.22e-16")  # the largest magnitude is the moved 1.0
 
 
 def test_dropped_row_is_structural(tmp_path, digests):
@@ -95,6 +96,15 @@ def test_json_and_pgm_values_are_compared(tmp_path, digests):
         },
     )
     assert dict(digests.compare_dirs(old, new)) == {
-        "run/image.pgm": "1 changed, max abs 2, max rel 0.125",
-        "run/report.json": "1 changed, max abs 0.25, max rel 0.5",
+        "run/image.pgm": "1 changed, max abs 2, max rel 0.125, scaled 0.111",
+        "run/report.json": "1 changed, max abs 0.25, max rel 0.5, scaled 0.25",
     }
+
+
+def test_scaled_deviation_is_over_the_largest_magnitude(tmp_path, digests):
+    # a near-zero value moves by a large relative amount but a tiny share of the file's scale
+    csv = "lag,re,im\n-1,{},0.0\n0,-4.0,inf\n1,2.0,0.0\n"
+    old = write_run(tmp_path / "old", {"run/coarray.csv": csv.format("1e-13")})
+    new = write_run(tmp_path / "new", {"run/coarray.csv": csv.format("3e-13")})
+    [(_, row)] = digests.compare_dirs(old, new)
+    assert row == "1 changed, max abs 2e-13, max rel 2, scaled 5e-14"

@@ -325,6 +325,41 @@ class TestClutterFilter:
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def fftconvolve_clutter_filter(z, h):
+    """The linear-convolution clutter filter the kernel spectrum replaced: the reference."""
+    p = z.window_size
+    g = filter_autocorrelation(h, length=4 * p)
+    g = g.reshape((1,) * (z.values.ndim - 1) + g.shape)
+    full = sp_signal.fftconvolve(z.values, g, axes=-1)
+    center = (full.shape[-1] - 1) // 2
+    return full[..., center - (p - 1) : center + p]
+
+
+def kernel_filters(p):
+    """FIR taps of length 1, 2, 15 and more than 4P, and a Butterworth (b, a) pair."""
+    rng = np.random.default_rng(p)
+    return {
+        "fir1": np.array([0.7]),
+        "fir2": np.array([1.0, -1.0]),
+        "fir15": sp_signal.firwin(15, 0.1 / 0.5, pass_zero=False),
+        "fir_long": rng.standard_normal(4 * p + 5),
+        "butterworth": butterworth_highpass(4, 0.03),
+    }
+
+
+class TestKernelSpectrum:
+    @pytest.mark.parametrize("p", [2, 12, 64, 256, 1024])
+    def test_matches_the_fftconvolve_reference_on_a_stack(self, p):
+        rng = np.random.default_rng(p + 1)
+        values = rng.standard_normal((3, 2 * p - 1)) + 1j * rng.standard_normal((3, 2 * p - 1))
+        z = CoarraySignal(p, values)
+        for name, h in kernel_filters(p).items():
+            ref = fftconvolve_clutter_filter(z, h)
+            out = clutter_filter(z, h).values
+            assert out.shape == ref.shape == (3, 2 * p - 1)
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max(), (p, name)
+
+
 class TestApodize:
     def test_rectangular_window_triangle(self):
         p = 8

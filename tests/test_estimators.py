@@ -86,6 +86,16 @@ class TestGridSpectrum:
         # -0.5 and +0.5 are the same point on the circle
         assert spec.nearest_bin(0.499) == spec.nearest_bin(-0.499)
 
+    def test_peak_frequency_is_the_fftfreq_bin_bit_for_bit(self):
+        for n in [*range(1, 65), 2047]:
+            grid = np.fft.fftfreq(n)
+            for i in range(n):
+                powers = np.zeros(n)
+                powers[i] = 1.0
+                got = GridSpectrum(powers).peak_frequency()
+                assert type(got) is float
+                assert got.hex() == float(grid[i]).hex(), (n, i)
+
 
 class TestLineSpectrum:
     def test_dominant_frequency(self):
