@@ -121,11 +121,10 @@ def lag_average(cov: CovarianceEstimate, diffs: DifferenceSet) -> CoarraySignal:
     inside = (bins >= 0) & (bins < 2 * p - 1)
     if not inside.all():
         bins, r_vec = bins[inside], r_vec[:, inside]
-    counts = np.bincount(bins, minlength=2 * p - 1)
     stacked = (bins + (2 * p - 1) * np.arange(t)[:, None]).ravel()
     re = np.bincount(stacked, weights=r_vec.real.ravel(), minlength=t * (2 * p - 1))
     im = np.bincount(stacked, weights=r_vec.imag.ravel(), minlength=t * (2 * p - 1))
-    values = (re + 1j * im).reshape(lead + (2 * p - 1,)) / counts
+    values = (re + 1j * im).reshape(lead + (2 * p - 1,)) / diffs.lag_counts
     return CoarraySignal(window_size=p, values=values)
 
 

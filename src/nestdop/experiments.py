@@ -2,17 +2,17 @@
 
 Every CPI goes through one path, :func:`estimate_cpis`: sample covariance ->
 lag averaging -> optional clutter filter and apodization -> each configured
-estimator. The run constants (difference set, filter design, the filter's
-kernel spectrum, the taper) are built once per process, in bounded memos
-(:mod:`nestdop.memo`), and each stage runs once per stack of CPIs:
-spectrograms stack their frames and MSE sweeps their trials. All runs are
-deterministic given a config and seed: per-frame and per-trial RNG streams
-are spawned from one root seed.
+estimator. Callers hand it single CPIs, the MSE sweep's fully sampled Welch
+draws included; it checks each CPI against the config's pattern and stacks
+consecutive ones, so each stage runs once per stack of frames or trials. The
+run constants (difference set, filter design, the filter's kernel spectrum,
+the taper) are built once per process, in bounded memos (:mod:`nestdop.memo`).
+All runs are deterministic given a config and seed: per-frame and per-trial
+RNG streams are spawned from one root seed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -30,7 +30,7 @@ from .estimators import (
     welch,
     zero_fill,
 )
-from .patterns import build_standard, cached_difference_set
+from .patterns import EmissionPattern, build_standard, cached_difference_set
 from .signals import (
     FrameSpec,
     PulsatileProfile,
@@ -51,15 +51,30 @@ from .spectrogram import Spectrogram, out_of_support_ratio, ridge_bin_errors
 _STACK_BYTES = 1 << 19
 
 
-def _stacks(cpis: Iterable[SlowTimeSnapshots]) -> Iterator[SlowTimeSnapshots]:
-    """Consecutive CPIs of one shape as T x Q x N stacks of at most _STACK_BYTES."""
+def _stacks(
+    cpis: Iterable[SlowTimeSnapshots], pattern: EmissionPattern
+) -> Iterator[SlowTimeSnapshots]:
+    """Consecutive CPIs of one Q as T x Q x N stacks of at most _STACK_BYTES.
+
+    Each CPI must be one Q x N matrix sampled on the window and slots of
+    ``pattern``, checked before it joins a stack.
+    """
+    expected = (pattern.window_size, pattern.slots)
+    p = pattern.window_size
     batch: list[SlowTimeSnapshots] = []
     for cpi in cpis:
+        got = (cpi.pattern.window_size, cpi.pattern.slots)
+        if got != expected:
+            raise EstimationError(
+                f"CPI sampled on P={got[0]} slots {got[1]}, "
+                f"but the config's pattern has P={expected[0]} slots {expected[1]}"
+            )
+        if cpi.data.ndim != 2:
+            raise EstimationError(f"a CPI is one Q x N matrix, got shape {cpi.data.shape}")
         if batch and cpi.data.shape != batch[0].data.shape:
             yield _stack(batch)
             batch = []
         batch.append(cpi)
-        p = cpi.pattern.window_size
         if (len(batch) + 1) * max(cpi.n_snapshots, p) * p * cpi.data.itemsize > _STACK_BYTES:
             yield _stack(batch)
             batch = []
@@ -91,33 +106,24 @@ def estimate_cpis(
 ) -> Iterator[tuple[CoarraySignal | None, dict[str, GridSpectrum | LineSpectrum]]]:
     """Every estimator in ``cfg.estimators`` on each CPI, in order.
 
-    An element of ``cpis`` is one CPI (Q x N samples) or a stack of CPIs
-    (T x Q x N). Each stage runs once per element, and one ``(z, spectra)``
-    is yielded per CPI, bit for bit what that CPI gives alone. Elements are
-    taken one at a time, when the previous one's results are used up.
+    Each element of ``cpis`` is one CPI (Q x N samples) sampled on the window
+    and slots of ``cfg.pattern``, which are all its lag map depends on; any
+    other element is an EstimationError, found before it joins a stack. CPIs
+    are drawn a stack at a time, when the previous stack's results are used
+    up, and each stage runs once per stack; one ``(z, spectra)`` is yielded
+    per CPI, bit for bit what that CPI gives alone.
 
-    Every CPI must be sampled on the window and slots of ``cfg.pattern``,
-    which are all its lag map depends on: its difference set, the filter
-    design and the apodization window are looked up once, before the first
-    CPI. The difference set and the filter design, like the kernel spectrum
-    and the taper, are built only by the first run in a process that uses
-    them. Each CPI's coarray is built once and shared by ``nest`` and
-    ``nesprit``; it is None when only Welch runs.
+    The difference set, the filter design and the apodization window are
+    looked up once, before the first CPI. The difference set and the filter
+    design, like the kernel spectrum and the taper, are built only by the
+    first run in a process that uses them. Each CPI's coarray is built once
+    and shared by ``nest`` and ``nesprit``; it is None when only Welch runs.
     """
-    diffs = cached_difference_set(cfg.pattern)
+    needs_coarray = any(name != "welch" for name in cfg.estimators)
+    diffs = cached_difference_set(cfg.pattern) if needs_coarray else None
     h = None if cfg.filter_spec is None else cfg.filter_spec.coefficients()
     window = cfg.apodization_window()
-    needs_coarray = any(name != "welch" for name in cfg.estimators)
-    expected = (cfg.pattern.window_size, cfg.pattern.slots)
-    for snapshots in cpis:
-        got = (snapshots.pattern.window_size, snapshots.pattern.slots)
-        if got != expected:
-            raise EstimationError(
-                f"CPI sampled on P={got[0]} slots {got[1]}, "
-                f"but the config's pattern has P={expected[0]} slots {expected[1]}"
-            )
-        if snapshots.data.ndim == 2:
-            snapshots = replace(snapshots, data=snapshots.data[None])
+    for snapshots in _stacks(cpis, cfg.pattern):
         z = None
         if needs_coarray:
             z = lag_average(estimate_covariance(snapshots, remove_mean=cfg.remove_mean), diffs)
@@ -163,7 +169,7 @@ def run_spectrogram_frames(
     Line spectra are rasterized onto the dense 2P-1 grid.
     """
     rows: dict[str, list] = {name: [] for name in cfg.estimators}
-    for _, spectra in estimate_cpis(_stacks(frames_data), cfg):
+    for _, spectra in estimate_cpis(frames_data, cfg):
         for name, spec in spectra.items():
             if isinstance(spec, LineSpectrum):
                 spec = spec.rasterize(2 * cfg.window_size - 1)
@@ -251,50 +257,38 @@ def run_mse(cfg: ExperimentConfig) -> list[MseRow]:
     if not cfg.snr_list_db:
         raise EstimationError("the MSE sweep needs a nonempty snr_list_db")
     true_nu, tone_power = cfg.tones.tones[0]
-    full = build_standard(cfg.window_size)
     sparse_cfg = replace(
         cfg, estimators=("nest", "nesprit"), model_order=cfg.model_order or 1
     )
+    full_cfg = replace(cfg, pattern=build_standard(cfg.window_size), estimators=("welch",))
 
+    def draws(pattern, noise_power, rng_seeds):
+        return (generate_snapshots(cfg.tones, pattern, cfg.q, noise_power, s) for s in rng_seeds)
+
+    rows = []
     snr_seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_list_db))
-    # (SNR index, noise power, sparse seed, full seed) of every trial, in order
-    trials = (
-        (i, tone_power / 10.0 ** (snr_db / 10.0), *seed.spawn(2))
-        for i, (snr_db, snr_seed) in enumerate(zip(cfg.snr_list_db, snr_seeds))
-        for seed in snr_seed.spawn(cfg.trials)
-    )
-
-    def draw(pattern, noise_power, seed):
-        rng_seed = int(seed.generate_state(1)[0])
-        return generate_snapshots(cfg.tones, pattern, cfg.q, noise_power, rng_seed)
-
-    # Both draws are made a stack at a time, when their estimator asks for it;
-    # tee holds the trials of at most one stack.
-    info, sparse_seeds, full_seeds = itertools.tee(trials, 3)
-    sparse = (draw(cfg.pattern, noise, seed) for _, noise, seed, _ in sparse_seeds)
-    full_draws = (draw(full, noise, seed) for _, noise, _, seed in full_seeds)
-
-    def welch_spectra():
-        for stack in _stacks(full_draws):
-            spectra = welch(stack.data)
-            yield from (spectra[t] for t in range(len(stack.data)))
-
-    errors: list[list] = [[] for _ in cfg.snr_list_db]
-    for (i, *_), (_, spectra), full_spectrum in zip(
-        info, estimate_cpis(_stacks(sparse), sparse_cfg), welch_spectra()
-    ):
-        errors[i].append(
+    for snr_db, snr_seed in zip(cfg.snr_list_db, snr_seeds):
+        noise_power = tone_power / 10.0 ** (snr_db / 10.0)
+        # (sparse draw seed, full draw seed) of every trial
+        seeds = [
+            [int(s.generate_state(1)[0]) for s in seed.spawn(2)]
+            for seed in snr_seed.spawn(cfg.trials)
+        ]
+        sparse = estimate_cpis(draws(cfg.pattern, noise_power, (s for s, _ in seeds)), sparse_cfg)
+        full = estimate_cpis(draws(full_cfg.pattern, noise_power, (f for _, f in seeds)), full_cfg)
+        errors = [
             (
                 _frequency_error(true_nu, spectra["nest"].peak_frequency()),
                 _frequency_error(true_nu, spectra["nesprit"].dominant_frequency()),
-                _frequency_error(true_nu, full_spectrum.peak_frequency()),
+                _frequency_error(true_nu, full_spectra["welch"].peak_frequency()),
             )
-        )
-    return [
-        MseRow(snr_db=snr_db, estimator=name, mse=float(col.mean()))
-        for snr_db, snr_errors in zip(cfg.snr_list_db, errors)
-        for name, col in zip(("nest", "nesprit", "welch"), np.array(snr_errors).T)
-    ]
+            for (_, spectra), (_, full_spectra) in zip(sparse, full)
+        ]
+        rows += [
+            MseRow(snr_db=snr_db, estimator=name, mse=float(col.mean()))
+            for name, col in zip(("nest", "nesprit", "welch"), np.array(errors).T)
+        ]
+    return rows
 
 
 SUPPORT_BINS = 10.0  # halfwidth of the ground-truth support, in dense-grid bins

@@ -127,23 +127,20 @@ class DifferenceSet:
 
     ``position_lags`` is a read-only integer array holding the lag of every
     position of the column-stacked N x N covariance: position ``a + b*N``
-    has lag ``slots[a] - slots[b]``.
+    has lag ``slots[a] - slots[b]``. ``lag_counts`` is a read-only array of
+    2P-1 counts, how many positions hold each lag -(P-1)..P-1; lags beyond
+    the window (co-prime patterns) are not counted.
     """
 
     window_size: int
     unique_lags: tuple[int, ...]
     multiplicity: dict
     position_lags: np.ndarray = field(compare=False, repr=False)
+    lag_counts: np.ndarray = field(compare=False, repr=False)
 
     def missing_lags(self) -> list[int]:
-        """Lags in [-(P-1), P-1] that no slot pair realizes.
-
-        Lags beyond the window (co-prime patterns) are ignored.
-        """
-        p = self.window_size
-        bins = self.position_lags + (p - 1)
-        counts = np.bincount(bins[(bins >= 0) & (bins < 2 * p - 1)], minlength=2 * p - 1)
-        return (np.flatnonzero(counts == 0) - (p - 1)).tolist()
+        """Lags in [-(P-1), P-1] that no slot pair realizes."""
+        return (np.flatnonzero(self.lag_counts == 0) - (self.window_size - 1)).tolist()
 
 
 def build_nested(n1: int, n2: int) -> EmissionPattern:
@@ -319,15 +316,20 @@ def build_standard(p: int) -> EmissionPattern:
 def difference_set(pattern: EmissionPattern) -> DifferenceSet:
     """All pairwise slot differences with multiplicities and covariance positions."""
     slots = np.asarray(pattern.slots)
+    p = pattern.window_size
     position_lags = np.subtract.outer(slots, slots).ravel(order="F")
+    bins = position_lags + (p - 1)
+    lag_counts = np.bincount(bins[(bins >= 0) & (bins < 2 * p - 1)], minlength=2 * p - 1)
     position_lags.setflags(write=False)
+    lag_counts.setflags(write=False)
     lags, counts = np.unique(position_lags, return_counts=True)
     lags = tuple(lags.tolist())
     return DifferenceSet(
-        window_size=pattern.window_size,
+        window_size=p,
         unique_lags=lags,
         multiplicity=dict(zip(lags, counts.tolist())),
         position_lags=position_lags,
+        lag_counts=lag_counts,
     )
 
 

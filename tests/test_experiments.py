@@ -299,6 +299,23 @@ class TestRunConstants:
         with pytest.raises(EstimationError, match="slots"):
             next(experiments.estimate_cpis([snapshots], cfg))
 
+    def test_cpi_on_another_pattern_is_rejected_inside_a_stack(self):
+        # a matching CPI first, so both would share one stack and its lag map
+        cfg = ExperimentConfig.from_doc(TestMseConditioning.BASE)
+        assert cfg.pattern.slots == (1, 2, 3, 4, 8, 12)
+        other = patterns.EmissionPattern(12, (1, 2, 3, 5, 8, 12), patterns.Family.NESTED)
+        good = generate_snapshots(TONES, cfg.pattern, cfg.q, rng_seed=0)
+        bad = generate_snapshots(TONES, other, cfg.q, rng_seed=1)
+        with pytest.raises(EstimationError, match=re.escape("slots (1, 2, 3, 5, 8, 12)")):
+            experiments.run_spectrogram_frames([good, bad], cfg)
+
+    def test_a_stack_as_one_element_is_rejected(self):
+        cfg = replace(compare_config(), profile=None, tones=TONES)
+        cpi = generate_snapshots(cfg.tones, cfg.pattern, cfg.q, rng_seed=0)
+        stack = replace(cpi, data=np.stack([cpi.data, cpi.data]))
+        with pytest.raises(EstimationError, match="one Q x N matrix"):
+            next(experiments.estimate_cpis([stack], cfg))
+
 
 class TestMseConditioning:
     BASE = {
@@ -359,10 +376,28 @@ class TestStacks:
         # each CPI counts as max(Q, P) x P complex values: three fit
         p = pattern.window_size
         monkeypatch.setattr(experiments, "_STACK_BYTES", 3 * p * p * 16)
-        stacks = list(experiments._stacks(iter(cpis)))
+        stacks = list(experiments._stacks(iter(cpis), pattern))
         assert [s.data.shape[:2] for s in stacks] == [(3, 4), (2, 4), (1, 6), (1, 4)]
         rows = [row for s in stacks for row in s.data]
         assert all(np.array_equal(row, cpi.data) for row, cpi in zip(rows, cpis))
+
+
+    def test_cpis_are_drawn_a_stack_at_a_time(self, monkeypatch):
+        cfg = ExperimentConfig.from_doc(TestMseConditioning.BASE)
+        p = cfg.window_size
+        monkeypatch.setattr(experiments, "_STACK_BYTES", 3 * max(cfg.q, p) * p * 16)
+        drawn = []
+
+        def cpis():
+            for seed in range(7):
+                drawn.append(seed)
+                yield generate_snapshots(cfg.tones, cfg.pattern, cfg.q, rng_seed=seed)
+
+        results = experiments.estimate_cpis(cpis(), cfg)
+        assert drawn == []
+        next(results)
+        assert drawn == [0, 1, 2]
+        assert len(list(results)) == 6
 
 
 class TestTracerTargets:

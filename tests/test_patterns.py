@@ -285,10 +285,14 @@ class TestContiguousCoarray:
     def test_missing_lags_matches_loop_reference(self, pat):
         # co-prime slots reach past the window; lags outside it do not count
         p = pat.window_size
-        present = {a - b for a in pat.slots for b in pat.slots}
+        present = [a - b for a in pat.slots for b in pat.slots]
         ref = [l for l in range(-(p - 1), p) if l not in present]
-        assert difference_set(pat).missing_lags() == ref
+        diffs = difference_set(pat)
+        assert diffs.missing_lags() == ref
         assert bool(ref) == (pat.family is Family.K_LEVEL)
+        counts = [present.count(l) for l in range(-(p - 1), p)]
+        assert diffs.lag_counts.tolist() == counts
+        assert not diffs.lag_counts.flags.writeable
 
     def test_cardinality_and_range(self):
         for n1, n2 in itertools.product(range(1, 12), range(1, 12)):
