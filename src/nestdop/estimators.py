@@ -29,6 +29,12 @@ def circular_distance(frequencies: np.ndarray, nu: float) -> np.ndarray:
     return np.abs((frequencies - nu + 0.5) % 1.0 - 0.5)
 
 
+def nearest_bins(nus, num_bins: int) -> np.ndarray:
+    """Index of the ``fftfreq(num_bins)`` bin nearest each of ``nus``, the lower index on a tie."""
+    freqs = np.fft.fftfreq(num_bins)
+    return np.argmin(circular_distance(freqs, np.asarray(nus, float)[..., None]), axis=-1)
+
+
 @dataclass(frozen=True)
 class GridSpectrum:
     """Nonnegative power per bin of an FFT grid.
@@ -52,6 +58,8 @@ class GridSpectrum:
         return np.fft.fftfreq(self.num_bins)
 
     def peak_bin(self) -> int:
+        if self.powers.ndim != 1:
+            raise EstimationError(f"peak of a {self.powers.shape} stack of spectra: index one")
         return int(np.argmax(self.powers))
 
     def peak_frequency(self) -> float:
@@ -60,7 +68,7 @@ class GridSpectrum:
         return (i if i < (n + 1) // 2 else i - n) * (1.0 / n)
 
     def nearest_bin(self, nu: float) -> int:
-        return int(np.argmin(circular_distance(self.frequencies, nu)))
+        return int(nearest_bins(nu, self.num_bins))
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,10 @@ class LineSpectrum:
 
     def rasterize(self, num_bins: int) -> GridSpectrum:
         """Deposit each line's power in the nearest bin of a dense grid."""
-        freqs = np.fft.fftfreq(num_bins)
         powers = np.zeros(num_bins)
-        for nu, p in self.lines:
-            powers[int(np.argmin(circular_distance(freqs, nu)))] += max(p, 0.0)
+        bins = nearest_bins([nu for nu, _ in self.lines], num_bins)
+        for b, (_, p) in zip(bins, self.lines):
+            powers[b] += max(p, 0.0)
         return GridSpectrum(powers)
 
 

@@ -6,34 +6,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import circular_distance
+from .estimators import GridSpectrum, circular_distance, nearest_bins
 from .serialize import write_pgm
 
 FLOOR_DB = -60.0  # image black level, in dB below the global maximum
 
 
 @dataclass(frozen=True)
-class Spectrogram:
-    """Frames x bins power array with run metadata.
+class Spectrogram(GridSpectrum):
+    """A frames x bins stack of grid spectra with run metadata.
 
-    Row t is the spectrum of CPI t on the FFT grid of ``num_bins`` bins,
-    in FFT order (DC first).
+    Row t, ``gram[t]``, is the ``GridSpectrum`` of CPI t.
     """
 
-    powers: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.powers.ndim != 2 or len(self.powers) == 0:
             raise ValueError("spectrogram needs a frames x bins array with at least one frame")
-
-    @property
-    def num_bins(self) -> int:
-        return self.powers.shape[1]
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.fft.fftfreq(self.num_bins)
 
     def ridge(self) -> np.ndarray:
         """Peak normalized frequency per frame."""
@@ -75,9 +65,7 @@ class Spectrogram:
 def ridge_bin_errors(spectrogram: Spectrogram, true_freqs) -> np.ndarray:
     """Distance in grid bins between each frame's peak and the truth."""
     n = spectrogram.num_bins
-    freqs = spectrogram.frequencies
-    true_bins = [np.argmin(circular_distance(freqs, nu)) for nu in true_freqs]
-    diff = np.abs(np.argmax(spectrogram.powers, axis=1) - true_bins)
+    diff = np.abs(np.argmax(spectrogram.powers, axis=1) - nearest_bins(true_freqs, n))
     return np.minimum(diff, n - diff)  # circular grid
 
 

@@ -671,6 +671,17 @@ def _default_env(**preset):
     return {**env, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1", **preset}
 
 
+def test_tracer_installs_on_every_traced_name():
+    # the benchmark looks each traced name up as a module attribute or as the
+    # class's own __dict__ entry; a method moved to a base class breaks it
+    env = _default_env(PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tracing import Tracer; Tracer().install()"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _thread_vars_after_import(**preset):
     code = (
         "import json, os, nestdop; "

@@ -21,7 +21,9 @@ from nestdop.estimators import (
     EstimationError,
     GridSpectrum,
     LineSpectrum,
+    circular_distance,
     estimate_noise_floor,
+    nearest_bins,
     nesprit,
     nest,
     soft_threshold,
@@ -85,6 +87,26 @@ class TestGridSpectrum:
         spec = GridSpectrum(np.zeros(10))
         # -0.5 and +0.5 are the same point on the circle
         assert spec.nearest_bin(0.499) == spec.nearest_bin(-0.499)
+
+    def test_nearest_bins_matches_per_frequency_argmin(self):
+        for n in [*range(1, 65), 2047]:
+            grid = np.fft.fftfreq(n)
+            points = np.concatenate([grid, grid + 0.5 / n])
+            nus = np.concatenate(
+                [points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)]
+            )
+            want = [np.argmin(circular_distance(grid, nu)) for nu in nus]
+            np.testing.assert_array_equal(nearest_bins(nus, n), want, err_msg=str(n))
+            assert [nearest_bins(float(nu), n) for nu in nus] == want, n
+
+    def test_peak_of_a_stack_raises(self):
+        powers = np.zeros((2, 9))
+        powers[1, 4] = 1.0
+        with pytest.raises(EstimationError, match=r"\(2, 9\)"):
+            GridSpectrum(powers).peak_bin()
+        with pytest.raises(EstimationError):
+            GridSpectrum(powers).peak_frequency()
+        assert GridSpectrum(powers)[1].peak_bin() == 4
 
     def test_peak_frequency_is_the_fftfreq_bin_bit_for_bit(self):
         for n in [*range(1, 65), 2047]:
@@ -308,7 +330,7 @@ class TestNespritLanczos:
         assert nesprit(z, model_order=2).lines == first.lines
 
     def test_thread_pool_matches_serial(self):
-        # spectrogram frames call nesprit from pool threads concurrently
+        # nesprit is safe to call from several threads at once
         zs = [sampled_coarray(256, seed=s) for s in range(6)]
         serial = [nesprit(z, model_order=2).lines for z in zs]
         interval = sys.getswitchinterval()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nestdop.estimators import GridSpectrum
 from nestdop.experiments import profile_ridge, sinusoidal_profile
 from nestdop.spectrogram import (
     Spectrogram,
@@ -33,6 +34,15 @@ class TestSpectrogram:
         gram = Spectrogram(powers)
         assert gram.ridge()[0] == np.fft.fftfreq(9)[1]
         np.testing.assert_array_equal(ridge_bin_errors(gram, [1 / 9]), [0])
+
+    def test_frame_is_its_grid_spectrum(self):
+        gram = make_gram([0, 2, 7], floor=0.5)
+        assert isinstance(gram, GridSpectrum)
+        for t, row in enumerate(gram.powers):
+            frame = gram[t]
+            assert type(frame) is GridSpectrum
+            np.testing.assert_array_equal(frame.powers, row)
+            assert frame.peak_frequency() == gram.ridge()[t]
 
     def test_power_matrix_shape_and_order(self):
         gram = make_gram([1, 3])
