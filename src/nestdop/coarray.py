@@ -86,6 +86,7 @@ def estimate_covariance(
 ) -> CovarianceEstimate:
     """Sample covariance (1/Q) sum_k y_k y_k^H, optionally mean-subtracted.
 
+    With the mean removed it is (Q-1)/Q times the unbiased ``np.cov(y, rowvar=False)``.
     A T x Q x N stack gives T x N x N matrices, each bit for bit the one
     its CPI gives alone.
     """

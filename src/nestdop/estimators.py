@@ -174,6 +174,51 @@ def _start_vector(p: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(p).astype(complex)
 
 
+def _signal_subspaces(h: CoarraySignal, lam: float, model_order: int | None) -> tuple[list, list]:
+    """Noise floor per row of h, and (rows, signal-subspace bases) groups of one order each.
+
+    The one place that picks the solver and the order. ARPACK cannot start
+    on an all-zero row, so such a row takes the dense path.
+    """
+    p = h.window_size
+    rows = h.values.reshape(-1, 2 * p - 1)
+    noise = [0.0] * len(rows)
+    groups = []
+    dense = list(range(len(rows)))
+    if model_order is not None and p >= _LANCZOS_MIN_P and 0 < model_order < p - 1:
+        dense = []
+        for t, row in enumerate(rows):
+            top = _lanczos_eigenpairs(h.with_values(row), model_order) if row.any() else None
+            if top is None:
+                dense.append(t)
+                continue
+            evals, evecs = top
+            # Re h(0) is Re z(0) bit for bit: 0.5 * (a + a) == a for finite a
+            noise[t] = float((p * row[p - 1].real - evals.sum()) / (p - model_order))
+            groups.append(([t], evecs[None]))
+    if dense:
+        evals, evecs = _dense_eigenpairs(
+            h if len(dense) == len(rows) else h.with_values(rows[dense])
+        )
+        evals, evecs = evals.reshape(-1, p), evecs.reshape(-1, p, p)
+        if model_order is None:
+            orders = np.count_nonzero(soft_threshold(evals, lam), axis=-1)
+        else:
+            orders = np.full(len(dense), model_order)
+        if orders.max() > p - 1:
+            raise EstimationError(
+                f"model order {orders.max()} exceeds P-1={p - 1}; "
+                "subspace shift is rank-deficient"
+            )
+        for t, ev, m in zip(dense, evals, orders):
+            noise[t] = estimate_noise_floor(ev, m)
+        for m in np.unique(orders):
+            sel = np.flatnonzero(orders == m)
+            # a fancy-indexed copy, then the column slice: evecs[sel, :, :m] gives other bits
+            groups.append(([dense[i] for i in sel], evecs[sel][..., :m]))
+    return noise, groups
+
+
 def nesprit(
     z: CoarraySignal,
     lam: float = 0.0,
@@ -192,61 +237,25 @@ def nesprit(
     computed, by Lanczos (ARPACK) with an O(P log P) FFT matvec, and the
     noise floor follows exactly from the trace identity
     (P*Re z(0) - sum of the top M eigenvalues) / (P - M). Otherwise, or if
-    ARPACK does not converge, a dense eigendecomposition of the P x P matrix
-    is used: the rank-count rule behind ``model_order=None`` needs every
-    eigenvalue.
+    ARPACK does not converge, or if the coarray's Hermitian part is all
+    zeros, a dense eigendecomposition of the P x P matrix is used: the
+    rank-count rule behind ``model_order=None`` needs every eigenvalue.
 
     A stack of T coarrays gives a tuple of T line spectra, each bit for bit
     the one its coarray gives alone. The dense eigendecompositions run once
-    per stack, and so does the ESPRIT step when every dense coarray has the
-    same order; Lanczos and the least squares run per coarray.
+    per stack, and the ESPRIT step once per group of rows of one order;
+    Lanczos and the least squares run per coarray.
     """
     p = z.window_size
     # Hermitian part of z, lags -(P-1)..P-1: its Toeplitz matrix is the eigenproblem
     h = z.with_values(0.5 * (z.values + np.conj(z.values[..., ::-1])))
-    values, h_rows = z.values.reshape(-1, 2 * p - 1), h.values.reshape(-1, 2 * p - 1)
-    rows = range(len(values))
-    noise = [0.0] * len(values)
-    groups = []  # (rows, their stacked signal-subspace bases), one order per group
-    dense = list(rows)
-    if model_order is not None and p >= _LANCZOS_MIN_P and 0 < model_order < p - 1:
-        dense = []
-        for t in rows:
-            top = _lanczos_eigenpairs(h.with_values(h_rows[t]), model_order)
-            if top is None:
-                dense.append(t)
-                continue
-            evals, evecs = top
-            noise[t] = float((p * values[t, p - 1].real - evals.sum()) / (p - model_order))
-            groups.append(([t], evecs[None]))
-    if dense:
-        evals, evecs = _dense_eigenpairs(
-            h if len(dense) == len(values) else h.with_values(h_rows[dense])
-        )
-        evals, evecs = evals.reshape(-1, p), evecs.reshape(-1, p, p)
-        if model_order is None:
-            orders = np.count_nonzero(soft_threshold(evals, lam), axis=-1)
-        else:
-            orders = np.full(len(dense), model_order)
-        if orders.max() > p - 1:
-            raise EstimationError(
-                f"model order {orders.max()} exceeds P-1={p - 1}; "
-                "subspace shift is rank-deficient"
-            )
-        for t, ev, m in zip(dense, evals, orders):
-            noise[t] = estimate_noise_floor(ev, m)
-        if (orders == orders[0]).all():
-            groups.append((dense, evecs[..., : orders[0]]))
-        else:
-            for i, (t, m) in enumerate(zip(dense, orders)):
-                groups.append(([t], evecs[i : i + 1, :, :m]))
-    spectra = [LineSpectrum(lines=(), noise_estimate=noise[t]) for t in rows]
+    noise, groups = _signal_subspaces(h, lam, model_order)
+    values = z.values.reshape(-1, 2 * p - 1)
+    spectra = [LineSpectrum(lines=(), noise_estimate=n) for n in noise]
     for group, em in groups:
         if em.shape[-1] == 0:
             continue
-        e1 = em[:, :-1, :]
-        e2 = em[:, 1:, :]
-        beta = np.linalg.eigvals(np.linalg.pinv(e1, rcond=_SV_CUTOFF) @ e2)
+        beta = np.linalg.eigvals(np.linalg.pinv(em[:, :-1], rcond=_SV_CUTOFF) @ em[:, 1:])
         nus = np.angle(beta) / (2.0 * np.pi)
         nus = (nus + 0.5) % 1.0 - 0.5  # fold the branch point onto [-1/2, 1/2)
         for t, nu in zip(group, nus):

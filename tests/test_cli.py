@@ -335,6 +335,28 @@ class TestEstimateCommand:
         assert (out_dir / "nesprit_spectrum.csv").exists()
         assert "peak at nu=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"P": 128, "tones": [[0.2, 0.0]], "Q": 10, "model_order": 1, "seed": 1},
+            {
+                "P": 128,
+                "tones": [[0.2, 1.0]],
+                "Q": 10,
+                "model_order": 2,
+                "filter": {"type": "fir", "taps": [0.0]},
+                "seed": 1,
+            },
+        ],
+        ids=["zero_tone", "zero_filter"],
+    )
+    def test_zero_coarray_on_the_lanczos_path(self, tmp_path, capsys, doc):
+        # ARPACK cannot start on an all-zero coarray; nesprit takes the dense path instead
+        cfg = write_config(tmp_path, doc)
+        rc = main(["estimate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 0
+        assert f"nesprit: {doc['model_order']} lines, noise ~0\n" in capsys.readouterr().out
+
     def test_welch_on_sparse_pattern_fails(self, tmp_path):
         cfg = write_config(tmp_path, {**BASIC, "estimators": ["welch"]})
         rc = main(["estimate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])

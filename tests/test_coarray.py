@@ -74,6 +74,15 @@ class TestEstimateCovariance:
         with pytest.raises(ValueError):
             estimate_covariance(SlowTimeSnapshots(pattern=pat, data=y), remove_mean=True)
 
+    @pytest.mark.parametrize("q", [2, 8, 33])
+    def test_mean_removal_divides_by_q(self, q):
+        # biased low by 1/Q: (Q-1)/Q times the unbiased sample covariance
+        pat = build_nested(3, 2)
+        snaps = generate_snapshots(ToneSet(((0.2, 1.0),)), pat, q, 0.3, rng_seed=q)
+        got = estimate_covariance(snaps, remove_mean=True).matrix
+        want = (q - 1) / q * np.cov(snaps.data, rowvar=False)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
     def test_hermitian(self):
         pat = build_nested(3, 2)
         snaps = generate_snapshots(ToneSet(((0.2, 1.0),)), pat, 64, 0.3, rng_seed=0)

@@ -8,6 +8,7 @@ from scipy import signal as sp_signal
 
 from nestdop import estimators
 from nestdop.coarray import (
+    CoarraySignal,
     CovarianceEstimate,
     apodize,
     butterworth_highpass,
@@ -164,18 +165,35 @@ class TestEstimatorStages:
             assert same_lines(stacked[k], nesprit(z[k], model_order=model_order))
 
     def test_rows_of_different_counted_orders(self):
-        # exact coarrays of 1, 3 and 2 tones: the rank-count rule gives each row its own order
+        # exact coarrays of 1, 3 and 2 tones: the rank-count rule gives each row its own order;
+        # then 1, 3 and 1 tones, so that the rows of one order are not next to each other
         pattern = PATTERNS["nested"]
-        tone_sets = [TONES.tones[:1], TONES.tones, TONES.tones[:2]]
-        matrices = np.stack(
-            [analytic_covariance(ToneSet(tones), pattern, 0.05) for tones in tone_sets]
-        )
-        cov = CovarianceEstimate(matrix=matrices, q_used=0, mean_removed=False)
-        z = lag_average(cov, difference_set(pattern))
-        stacked = nesprit(z, lam=0.5)
-        assert [s.model_order for s in stacked] == [1, 3, 2]
+        for tone_sets in (
+            [TONES.tones[:1], TONES.tones, TONES.tones[:2]],
+            [TONES.tones[:1], TONES.tones, TONES.tones[1:2]],
+        ):
+            matrices = np.stack(
+                [analytic_covariance(ToneSet(tones), pattern, 0.05) for tones in tone_sets]
+            )
+            cov = CovarianceEstimate(matrix=matrices, q_used=0, mean_removed=False)
+            z = lag_average(cov, difference_set(pattern))
+            stacked = nesprit(z, lam=0.5)
+            assert [s.model_order for s in stacked] == [len(tones) for tones in tone_sets]
+            for k in range(3):
+                assert same_lines(stacked[k], nesprit(z[k], lam=0.5))
+
+    def test_zero_coarray_row_takes_the_dense_path(self):
+        # ARPACK cannot start on an all-zero row; the dense path gives m lines of power 0
+        pattern = build_nested(*optimal_nested(256))
+        _, stack = draw_stack(pattern, 3, 40, seed=5)
+        values = stacked_coarray(pattern, stack).values.copy()
+        values[1] = 0.0
+        z = CoarraySignal(pattern.window_size, values)
+        stacked = nesprit(z, model_order=2)
         for k in range(3):
-            assert same_lines(stacked[k], nesprit(z[k], lam=0.5))
+            assert same_lines(stacked[k], nesprit(z[k], model_order=2))
+        assert [power for _, power in stacked[1].lines] == [0.0, 0.0]
+        assert stacked[1].noise_estimate == 0.0
 
     def test_lanczos_failure_on_one_row_falls_back_for_that_row(self, monkeypatch):
         pattern = build_nested(*optimal_nested(256))
